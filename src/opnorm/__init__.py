@@ -18,8 +18,10 @@ from .core import (
     vec_norm,
 )
 from .estimator import (
+    Analysis,
     AscentResult,
     CertificateError,
+    analyze,
     ascent_lower_bound,
     best_lower_bound,
     certified_bound,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .core import Exponent, as_exponent
-from .estimator import certified_bound, oracle_search
+from .estimator import analyze, oracle_search
 from .exact import anchor_norms
 from .interp import la_envelope, la_report_from_anchors, profile
 from .matio import MatrixParseError, parse_complex_token, read_matrix, write_matrix
@@ -60,10 +60,10 @@ def _load_square(path) -> np.ndarray:
 
 
 def _cmd_bounds(args) -> int:
-    M = _load_square(args.matrix)
-    for tok in args.p.split(","):
-        p = _p_token(tok)
-        b = certified_bound(M, p, seed=args.seed)
+    ps = [_p_token(tok) for tok in args.p.split(",")]
+    analysis = analyze(_load_square(args.matrix))
+    for p in ps:
+        b = analysis.bound(p, seed=args.seed)
         print(json.dumps({
             "p": _p_json(p),
             "lower": b.lower,
@@ -119,7 +119,7 @@ def _cmd_profile(args) -> int:
     if args.grid != "default":
         grid = sorted({_p_token(t) for t in args.grid.split(",")})
     prof = profile(M, grid=grid, seed=args.seed)
-    anchors = anchor_norms(M)
+    anchors = prof.analysis.anchors
     lines = [
         f"# log_convex={prof.log_convex} unimodal={prof.unimodal} p0={prof.p0_estimate}",
         "p,one_over_p,lower,upper,envelope",

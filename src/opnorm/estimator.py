@@ -8,16 +8,19 @@ true attained lower bound regardless of convergence.  For 1 < p < 2 the
 iteration runs on (A*, q) and maps the maximizer back through the duality
 relation ||A||_p = ||A*||_q, which keeps the working exponent >= 2.
 
-``certified_bound`` combines structural recognizers (block-diagonal splits,
-doubly balanced matrices, circulants, cyclic Hankel forms, rank-one block
-tensors, the log-affine anchor test) with interpolation upper bounds and the
-best available lower bound into one interval with provenance tags.
+``analyze`` runs the structural recognizers (block-diagonal splits, doubly
+balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
+the log-affine anchor test) once per matrix; ``Analysis.bound`` then combines
+what they found with interpolation upper bounds and the best available lower
+bound into one interval with provenance tags at each exponent.
+``certified_bound`` is one such query.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,12 +42,13 @@ from .exact import (
 )
 from .interp import (
     NormBound,
-    UpperEstimate,
+    _is_self_adjoint,
     la_envelope,
     la_report_from_anchors,
     upper_bound_from_anchors,
 )
 from .structured import (
+    TensorRankOne,
     UnitaryPermutation,
     as_circulant,
     as_hankel,
@@ -55,11 +59,14 @@ from .structured import (
     doubly_balanced_norm,
     hankel_factor,
     split_direct_sum,
+    tensor_norm,
 )
 
 __all__ = [
+    "Analysis",
     "AscentResult",
     "CertificateError",
+    "analyze",
     "ascent_lower_bound",
     "best_lower_bound",
     "certified_bound",
@@ -260,8 +267,12 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
 
 
 def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,
-                     eigen_certificates=(), extra=()) -> tuple[float, str]:
-    """Largest available certified lower bound with its provenance tag."""
+                     extra=()) -> tuple[float, str]:
+    """Largest available certified lower bound with its provenance tag.
+
+    Candidates: the exact anchor at p in {1, 2, inf}, the caller's ``extra``
+    (value, tag) pairs, and the ascent.
+    """
     M = as_matrix(A)
     p = as_exponent(p)
     cands: list[tuple[float, str]] = []
@@ -272,15 +283,9 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,
             cands.append((anchors.n2, "anchor"))
         elif p.is_inf:
             cands.append((anchors.ninf, "anchor"))
-    for xi, S, lam in eigen_certificates:
-        cands.append((eigen_lower_bound(M, xi, S, lam), "eigen-certificate"))
     cands.extend(extra)
     cands.append((ascent_lower_bound(M, p, seed=seed).value, "boyd"))
-    best_v, best_tag = cands[0]
-    for v, tag in cands[1:]:
-        if v > best_v:
-            best_v, best_tag = v, tag
-    return best_v, best_tag
+    return max(cands, key=lambda c: c[0])  # the earliest candidate wins a tie
 
 
 # ---------------------------------------------------------------------------
@@ -401,94 +406,136 @@ def oracle_norm(A, p, resolution: int = 360) -> float:
 
 
 # ---------------------------------------------------------------------------
-# certified interval combiner
+# one analysis per matrix, one certified interval per exponent
 
-def _is_anchor(p: Exponent) -> bool:
-    return p.value in (1.0, 2.0) or p.is_inf
-
-
-def _exact_interval(p: Exponent, value: float, lower_tag: str) -> NormBound:
-    upper_tag = "anchor" if _is_anchor(p) else "riesz-thorin"
-    return NormBound(p, value, value, lower_tag, upper_tag)
+#: Lower tag of each rule that pins the value exactly at every exponent.
+_EXACT_TAGS = {"scalar": "anchor", "balanced": "ones-vector",
+               "circulant-la": "eigen-certificate", "log-affine": "anchor"}
 
 
-def _reconcile(lower: float, ltag: str, upper: UpperEstimate, p: Exponent) -> NormBound:
-    if lower > upper.value * (1.0 + 1e-9):
-        raise RuntimeError(
-            f"bound inconsistency at p={p}: lower {lower} exceeds upper {upper.value}")
-    return NormBound(p, min(lower, upper.value), upper.value, ltag, upper.provenance)
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """Everything structure pins about one square matrix, independent of p.
+
+    ``rule`` names what ``analyze`` found, in the order it tries them:
+    "scalar" (1 x 1), "direct-sum", "balanced", "circulant-la", "circulant",
+    "hankel", "tensor", "log-affine", or "general" when nothing fired.
+    ``parts`` holds the sub-analyses the rule delegates to: the diagonal
+    blocks, the circulant factor of a Hankel layout, or the tensor core
+    (whose factors are in ``tensor``).  ``own_anchors`` are the anchor norms
+    the rule itself computed; the composite rules ("direct-sum", "hankel",
+    "tensor") leave it None and derive ``anchors`` from their parts.
+    """
+
+    matrix: np.ndarray
+    rule: str
+    own_anchors: AnchorNorms | None = None
+    parts: tuple[Analysis, ...] = ()
+    tensor: TensorRankOne | None = None
+
+    @cached_property
+    def anchors(self) -> AnchorNorms:
+        """Exact norms at p = 1, 2, inf; the Jacobi two-norm runs only for
+        "log-affine" and "general", every other rule gives them exactly."""
+        if self.own_anchors is not None:
+            return self.own_anchors
+        sub = [astuple(a.anchors) for a in self.parts]
+        if self.rule == "tensor":
+            return AnchorNorms(*(tensor_norm(self.tensor, e, v)
+                                 for e, v in zip((1.0, 2.0, INF), sub[0])))
+        # a direct sum's anchor norms are the largest over its parts; a
+        # Hankel layout's are those of its circulant factor
+        return AnchorNorms(*map(max, zip(*sub)))
+
+    @cached_property
+    def self_adjoint(self) -> bool:
+        """Whether the matrix equals its conjugate transpose."""
+        return _is_self_adjoint(self.matrix)
+
+    def bound(self, p, seed: int = 0) -> NormBound:
+        """Certified interval at one exponent; ``seed`` drives the ascent."""
+        p = as_exponent(p)
+        rule, anchors = self.rule, self.own_anchors
+        if rule in _EXACT_TAGS:
+            v = la_envelope(anchors, p) if rule == "log-affine" else anchors.n1
+            at_anchor = rule == "scalar" or p.value in (1.0, 2.0) or p.is_inf
+            return NormBound(p, v, v, _EXACT_TAGS[rule], "anchor" if at_anchor else "riesz-thorin")
+        if rule == "tensor":
+            core = self.parts[0].bound(p, seed=seed)
+            lo, hi = tensor_norm(self.tensor, p, (core.lower, core.upper))
+            return NormBound(p, lo, hi, core.lower_provenance, core.upper_provenance)
+        if self.parts:  # the blocks of a direct sum, or a Hankel layout's one factor
+            parts = [a.bound(p, seed=seed) for a in self.parts]
+            lo_part = max(parts, key=lambda b: b.lower)
+            hi_part = max(parts, key=lambda b: b.upper)
+            return NormBound(p, lo_part.lower, hi_part.upper,
+                             lo_part.lower_provenance, hi_part.upper_provenance)
+        up = upper_bound_from_anchors(anchors, self.matrix.shape[0], p, self.self_adjoint)
+        # a circulant's attaining root-of-unity eigenvector certifies the
+        # spectral value as a lower bound at every exponent
+        extra = ((anchors.n2, "eigen-certificate"),) if rule == "circulant" else ()
+        lo, ltag = best_lower_bound(self.matrix, p, seed=seed, anchors=anchors, extra=extra)
+        if lo > up.value * (1.0 + 1e-9):
+            raise RuntimeError(
+                f"bound inconsistency at p={p}: lower {lo} exceeds upper {up.value}")
+        return NormBound(p, min(lo, up.value), up.value, ltag, up.provenance)
 
 
-def certified_bound(A, p, seed: int = 0, eigen_certificates=()) -> NormBound:
-    """Certified interval for the operator p-norm of a square complex matrix.
+def analyze(A) -> Analysis:
+    """Run the structure recognizers once and record the first that fires.
 
-    Structure is used whenever it pins the value exactly: block-diagonal
-    splits (max over the parts), doubly balanced matrices (the shared line
-    sum at every p), circulants (log-affine witness, or exact anchors from
-    the spectrum), cyclic Hankel layouts (delegated to the circulant factor,
-    which shares all p-norms), rank-one block tensors (vector-norm factor
-    times a recursive core interval), and the anchor equality test that
-    certifies the log-affine envelope.  Otherwise the interval combines the
-    interpolation upper bound with the best lower bound (exact anchors,
-    supplied eigen certificates, iterative ascent).
+    Tried in order: block-diagonal splits (max over the parts), doubly
+    balanced matrices (the shared line sum at every p), circulants
+    (log-affine witness, or exact anchors from the spectrum), cyclic Hankel
+    layouts (delegated to the circulant factor, which shares all p-norms),
+    rank-one block tensors (vector-norm factor times the core), and the
+    anchor equality test that certifies the log-affine envelope.
     """
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
-        raise ValueError("certified_bound requires a square matrix")
-    p = as_exponent(p)
-    n = M.shape[0]
+        raise ValueError("analyze requires a square matrix")
 
-    if n == 1:
+    if M.shape[0] == 1:
         v = abs(complex(M[0, 0]))
-        return NormBound(p, v, v, "anchor", "anchor")
+        return Analysis(M, "scalar", AnchorNorms(v, v, v))
 
     blocks = split_direct_sum(M)
     if len(blocks) > 1:
-        parts = [certified_bound(B, p, seed=seed) for B in blocks]
-        lo_part = max(parts, key=lambda b: b.lower)
-        hi_part = max(parts, key=lambda b: b.upper)
-        return NormBound(p, lo_part.lower, hi_part.upper,
-                         lo_part.lower_provenance, hi_part.upper_provenance)
+        return Analysis(M, "direct-sum", parts=tuple(analyze(B) for B in blocks))
 
     balanced = doubly_balanced_norm(M)
     if balanced is not None:
-        return _exact_interval(p, balanced, "ones-vector")
+        return Analysis(M, "balanced", AnchorNorms(balanced, balanced, balanced))
 
     circ = as_circulant(M)
     if circ is not None:
-        witness = classify_circulant_la(circ)
         total = float(np.abs(circ.coeffs).sum())
-        if witness.is_la:
-            return _exact_interval(p, total, "eigen-certificate")
-        spectral = circulant_two_norm(circ)
-        anchors = AnchorNorms(total, spectral, total)
-        up = upper_bound_from_anchors(anchors, n, p, bool(np.array_equal(M, adjoint(M))))
-        # the attaining root-of-unity eigenvector certifies the spectral
-        # value as a lower bound at every exponent
-        lo, ltag = best_lower_bound(M, p, seed=seed, anchors=anchors,
-                                    eigen_certificates=eigen_certificates,
-                                    extra=((spectral, "eigen-certificate"),))
-        return _reconcile(lo, ltag, up, p)
+        if classify_circulant_la(circ).is_la:
+            return Analysis(M, "circulant-la", AnchorNorms(total, total, total))
+        return Analysis(M, "circulant", AnchorNorms(total, circulant_two_norm(circ), total))
 
     hank = as_hankel(M)
     if hank is not None:
         # H = P C with P a phase-free permutation, so H shares every p-norm
         # with its circulant factor
-        _, circ_factor = hankel_factor(hank)
-        return certified_bound(densify(circ_factor), p, seed=seed)
+        return Analysis(M, "hankel", parts=(analyze(densify(hankel_factor(hank)[1])),))
 
     tensor = as_tensor_rank_one(M)
     if tensor is not None:
-        fac = vec_norm(tensor.alpha, p) * vec_norm(tensor.beta, dual_exponent(p))
-        core = certified_bound(tensor.core, p, seed=seed)
-        return NormBound(p, fac * core.lower, fac * core.upper,
-                         core.lower_provenance, core.upper_provenance)
+        return Analysis(M, "tensor", parts=(analyze(tensor.core),), tensor=tensor)
 
     anchors = anchor_norms(M)
-    if la_report_from_anchors(anchors).is_la:
-        return _exact_interval(p, la_envelope(anchors, p), "anchor")
+    return Analysis(M, "log-affine" if la_report_from_anchors(anchors).is_la else "general",
+                    anchors)
 
-    up = upper_bound_from_anchors(anchors, n, p, bool(np.array_equal(M, adjoint(M))))
-    lo, ltag = best_lower_bound(M, p, seed=seed, anchors=anchors,
-                                eigen_certificates=eigen_certificates)
-    return _reconcile(lo, ltag, up, p)
+
+def certified_bound(A, p, seed: int = 0) -> NormBound:
+    """Certified interval for the operator p-norm of a square complex matrix.
+
+    Structure is used whenever it pins the value exactly (see ``analyze``).
+    Otherwise the interval combines the interpolation upper bound with the
+    best lower bound (exact anchors, circulant eigen certificates, iterative
+    ascent).  To query several exponents, analyze once and call
+    ``Analysis.bound`` for each.
+    """
+    return analyze(A).bound(p, seed=seed)

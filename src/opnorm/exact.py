@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import REL_TOL, adjoint, as_exponent, as_matrix, vec_norm
+from .structured import as_unitary_permutation
 
 __all__ = [
     "AnchorNorms",
@@ -163,22 +164,16 @@ def is_p_isometry(S, p, trials: int = 8, seed: int = 0) -> bool:
     """Whether S is a phased permutation: one unimodular entry per row/column.
 
     These are exactly the matrices preserving the p-norm of every vector for
-    p != 2; the same structural test is applied at p = 2, so unitaries that
-    are not phased permutations are rejected there as well.  After the
-    structural pass, ``trials`` seeded random vectors self-check norm
-    preservation at the given p to REL_TOL.
+    p != 2; the same structural test (``as_unitary_permutation``) is applied
+    at p = 2, so unitaries that are not phased permutations are rejected
+    there as well.  After the structural pass, ``trials`` seeded random
+    vectors self-check norm preservation at the given p to REL_TOL.
     """
-    M = as_matrix(S)
-    if M.shape[0] != M.shape[1]:
-        return False
     if trials < 1:
         raise ValueError("trials must be at least 1")
     p = as_exponent(p)
-    a = np.abs(M)
-    nz = a > REL_TOL
-    if not (np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)):
-        return False
-    if np.abs(a[nz] - 1.0).max() > REL_TOL:
+    M = as_matrix(S)
+    if as_unitary_permutation(M) is None:
         return False
     rng = np.random.default_rng(seed)
     n = M.shape[0]

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .core import INF, Exponent, adjoint, as_exponent, as_matrix, dual_exponent
 from .exact import AnchorNorms, anchor_norms
+
+if TYPE_CHECKING:
+    from .estimator import Analysis
 
 __all__ = [
     "LOWER_PROVENANCES",
@@ -152,12 +155,10 @@ def upper_bound_from_anchors(anchors: AnchorNorms, n: int, p,
     return UpperEstimate(scaled, "two-norm-scaled")
 
 
-def upper_bound(A, p, anchors: AnchorNorms | None = None) -> UpperEstimate:
+def upper_bound(A, p) -> UpperEstimate:
     """Best certified upper bound for the operator p-norm of a square matrix."""
     M = as_matrix(A)
-    if anchors is None:
-        anchors = anchor_norms(M)
-    return upper_bound_from_anchors(anchors, M.shape[0], p, _is_self_adjoint(M))
+    return upper_bound_from_anchors(anchor_norms(M), M.shape[0], p, _is_self_adjoint(M))
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,9 @@ def la_report_from_anchors(anchors: AnchorNorms, tol: float = 1e-9) -> LogAffine
     return LogAffineReport(ratio >= 1.0 - tol, anchors, ratio)
 
 
-def is_log_affine(A, tol: float = 1e-9) -> LogAffineReport:
+def is_log_affine(A) -> LogAffineReport:
     """Test the norm profile for log-affinity via anchor equality at p = 2."""
-    return la_report_from_anchors(anchor_norms(A), tol)
+    return la_report_from_anchors(anchor_norms(A))
 
 
 def three_point_log_affinity(f_p, f_q0, f_r, p, q0, r) -> bool:
@@ -229,6 +230,7 @@ class PNormProfile:
     discrete chord test on them, ``unimodal`` checks the upper envelope has
     a single descent/ascent, and ``p0_estimate`` locates the grid minimum
     (bracketed by ``p0_interval``).  Self-adjoint inputs report p0 = 2.
+    ``analysis`` is the one structure analysis every grid point queried.
     """
 
     grid: tuple[Exponent, ...]
@@ -238,20 +240,21 @@ class PNormProfile:
     unimodal: bool
     p0_estimate: Exponent
     p0_interval: tuple[Exponent, Exponent]
+    analysis: Analysis
 
 
-def _chord_convex(g_values, tol: float = 1e-9) -> bool:
+def _chord_convex(g_values) -> bool:
     if any(not math.isfinite(g) for _, g in g_values):
         return True  # zero norms: degenerate profile
     for (t0, g0), (t1, g1), (t2, g2) in zip(g_values, g_values[1:], g_values[2:]):
         chord = g0 + (g2 - g0) * (t1 - t0) / (t2 - t0)
-        if g1 > chord + tol:
+        if g1 > chord + 1e-9:
             return False
     return True
 
 
-def _unimodal(uppers, tol_rel: float = 1e-9) -> bool:
-    tol = tol_rel * max(1.0, max(uppers))
+def _unimodal(uppers) -> bool:
+    tol = 1e-9 * max(1.0, max(uppers))
     m = min(range(len(uppers)), key=uppers.__getitem__)
     head_ok = all(uppers[i] >= uppers[i + 1] - tol for i in range(m))
     tail_ok = all(uppers[i + 1] >= uppers[i] - tol for i in range(m, len(uppers) - 1))
@@ -259,43 +262,37 @@ def _unimodal(uppers, tol_rel: float = 1e-9) -> bool:
 
 
 def profile(A, grid=None, seed: int = 0) -> PNormProfile:
-    """Certified bounds over a sorted exponent grid containing 1, 2, and inf."""
+    """Certified bounds over a sorted exponent grid containing 1, 2, and inf.
+
+    The matrix is analyzed once and every grid point is the same query as
+    ``certified_bound``, so structure rules apply at every exponent.
+    """
     from . import estimator  # deferred: estimator builds on this module
 
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("profile requires a square matrix")
     pts = default_grid() if grid is None else tuple(as_exponent(g) for g in grid)
     if any(b.value <= a.value for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be sorted strictly increasing")
     have = {e.value for e in pts}
     if not {1.0, 2.0, math.inf} <= have:
         raise ValueError("grid must contain 1, 2, and inf")
-    anchors = anchor_norms(M)
-    self_adj = _is_self_adjoint(M)
-    bounds = []
-    for p in pts:
-        up = upper_bound_from_anchors(anchors, M.shape[0], p, self_adj)
-        lo, ltag = estimator.best_lower_bound(M, p, seed=seed, anchors=anchors)
-        if lo > up.value * (1.0 + 1e-9):
-            raise RuntimeError(f"lower bound {lo} exceeds upper {up.value} at p={p}")
-        lo = min(lo, up.value)  # fp reconciliation at exact anchors
-        bounds.append(NormBound(p, lo, up.value, ltag, up.provenance))
+    analysis = estimator.analyze(A)
+    bounds = tuple(analysis.bound(p, seed=seed) for p in pts)
     uppers = [b.upper for b in bounds]
     g_values = tuple(
         (p.reciprocal, math.log(u) if u > 0.0 else -math.inf)
         for p, u in zip(pts, uppers)
     )
-    if self_adj:
+    if analysis.self_adjoint:
         m = next(i for i, p in enumerate(pts) if p.value == 2.0)
     else:
         m = min(range(len(uppers)), key=uppers.__getitem__)
     return PNormProfile(
         grid=pts,
-        bounds=tuple(bounds),
+        bounds=bounds,
         g_values=g_values,
         log_convex=_chord_convex(g_values),
         unimodal=_unimodal(uppers),
         p0_estimate=pts[m],
         p0_interval=(pts[max(m - 1, 0)], pts[min(m + 1, len(pts) - 1)]),
+        analysis=analysis,
     )

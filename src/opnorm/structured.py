@@ -242,18 +242,15 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
     n_total, m_total = M.shape
     if n_total != m_total or n_total < 2 or not np.any(M):
         return None
-    tol = _struct_tol(M)
     for nb in range(2, n_total + 1):
         if n_total % nb:
             continue
         m = n_total // nb
         blocks = M.reshape(nb, m, nb, m).swapaxes(1, 2)  # [i, j, m, m]
-        flat = blocks.reshape(nb * nb, m * m)
-        ref_idx = int(np.argmax(np.abs(flat).max(axis=1)))
-        ref = flat[ref_idx]
-        coef = (flat @ np.conj(ref)) / np.vdot(ref, ref).real
-        if float(np.abs(flat - coef[:, None] * ref[None, :]).max()) > tol:
+        fit = _common_multiple(blocks.reshape(nb * nb, m * m))
+        if fit is None:
             continue
+        coef, ref = fit
         C = coef.reshape(nb, nb)
         i0, j0 = np.unravel_index(int(np.argmax(np.abs(C))), C.shape)
         pivot = C[i0, j0]
@@ -374,18 +371,16 @@ def split_direct_sum(A) -> list[np.ndarray]:
     return [M[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 
-def direct_sum_norm(parts, p=None):
+def direct_sum_norm(parts):
     """Norm of a block-diagonal sum: the maximum of the per-part norms.
 
     Accepts plain norm values or (lower, upper) interval pairs; with any
     interval present the result is (max of lowers, max of uppers).  The
-    combination rule is the same at every exponent; p is only validated.
+    combination rule is the same at every exponent.
     """
     vals = list(parts)
     if not vals:
         raise ValueError("direct_sum_norm needs at least one part")
-    if p is not None:
-        as_exponent(p)
     if any(isinstance(v, tuple) for v in vals):
         pairs = [tuple(map(float, v)) if isinstance(v, tuple) else (float(v), float(v))
                  for v in vals]
@@ -402,18 +397,17 @@ def _nonneg_reals(values) -> np.ndarray:
     return arr
 
 
-def block_column_bound(block_norms, p, exact: bool = False) -> float:
+def block_column_bound(block_norms, p) -> float:
     """(sum_i v_i^p)^(1/p) over the per-block norms of one block column.
 
-    Valid upper bound always; with ``exact=True`` the caller asserts that all
-    blocks attain their norm at a shared maximizer, making it an equality
-    (the flag does not change the computed value).
+    Valid upper bound always; an equality when all blocks attain their norm
+    at a shared maximizer (see ``blocks_pairwise_proportional``).
     """
     v = _nonneg_reals(block_norms)
     return vec_norm(v, as_exponent(p))
 
 
-def block_row_bound(block_norms, p, exact: bool = False) -> float:
+def block_row_bound(block_norms, p) -> float:
     """(sum_j v_j^q)^(1/q) over one block row, q dual to p (upper bound)."""
     v = _nonneg_reals(block_norms)
     return vec_norm(v, dual_exponent(p))
@@ -449,15 +443,24 @@ def blocks_pairwise_proportional(blocks) -> bool:
     shape = mats[0].shape
     if any(M.shape != shape for M in mats):
         return False
-    stack = np.stack(mats).reshape(len(mats), -1)
-    ref_idx = int(np.argmax(np.abs(stack).max(axis=1)))
-    ref = stack[ref_idx]
-    denom = np.vdot(ref, ref).real
-    if denom == 0.0:
-        return True  # all blocks zero
-    coef = (stack @ np.conj(ref)) / denom
-    tol = REL_TOL * max(1.0, float(np.abs(stack).max()))
-    return float(np.abs(stack - coef[:, None] * ref[None, :]).max()) <= tol
+    return _common_multiple(np.stack(mats).reshape(len(mats), -1)) is not None
+
+
+def _common_multiple(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(coef, ref) with every row stack[k] = coef[k] * ref, or None.
+
+    ``ref`` is the row holding the largest entry; the fit is checked to the
+    structural tolerance.
+    """
+    mags = np.abs(stack)
+    ref = stack[int(np.argmax(mags.max(axis=1)))]
+    # ref holds the largest entry, so a zero ref means an all-zero stack,
+    # which fits with zero coefficients
+    coef = (stack @ np.conj(ref)) / (np.vdot(ref, ref).real or 1.0)
+    tol = REL_TOL * max(1.0, float(mags.max()))
+    if float(np.abs(stack - coef[:, None] * ref[None, :]).max()) > tol:
+        return None
+    return coef, ref
 
 
 def column_embed(xi) -> np.ndarray:

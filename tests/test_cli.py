@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import opnorm.exact
+from opnorm.cli import main
 from opnorm.matio import read_matrix, write_matrix
 from opnorm.structured import Circulant, HankelMod, densify, magic3
 
@@ -34,9 +36,22 @@ def test_bounds_magic3(magic_path):
 
 
 def test_bounds_rejects_bad_exponent(magic_path):
-    r = run_cli("bounds", magic_path, "--p", "0.5")
-    assert r.returncode == 2
-    assert "error:" in r.stderr
+    for ps in ("0.5", "1,2,0.5"):
+        r = run_cli("bounds", magic_path, "--p", ps)
+        assert r.returncode == 2
+        assert r.stdout == ""  # every exponent is validated before any output
+        assert "error:" in r.stderr
+
+
+def test_bounds_runs_jacobi_once_for_all_exponents(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a.json"
+    write_matrix(path, np.random.default_rng(61).standard_normal((6, 6)))
+    calls = []
+    norm_two = opnorm.exact.norm_two
+    monkeypatch.setattr(opnorm.exact, "norm_two", lambda M: calls.append(1) or norm_two(M))
+    assert main(["bounds", str(path), "--p", "1,1.25,1.5,2,3,4,inf"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7
+    assert len(calls) == 1
 
 
 def test_classify_circulant(tmp_path):

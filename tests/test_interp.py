@@ -5,6 +5,7 @@ import pytest
 from conftest import random_complex
 
 from opnorm.core import INF, Exponent, dual_exponent
+from opnorm.estimator import analyze, certified_bound
 from opnorm.exact import anchor_norms
 from opnorm.interp import (
     NormBound,
@@ -18,6 +19,7 @@ from opnorm.interp import (
     upper_bound,
     upper_bound_from_anchors,
 )
+from opnorm.structured import Circulant, HankelMod, TensorRankOne, densify, direct_sum, magic3
 
 
 def test_riesz_thorin_frozen_values():
@@ -162,3 +164,23 @@ def test_profile_validation():
         profile(np.eye(2), grid=[1.0, 2.0])  # no inf
     with pytest.raises(ValueError):
         profile(np.eye(2), grid=[1.0, 2.0, 1.5, math.inf])  # unsorted
+
+
+_RNG = np.random.default_rng(60)
+_FAMILIES = {
+    "tensor": densify(TensorRankOne([1.0, -2.0], [1.0, 0.5], _RNG.standard_normal((3, 3)))),
+    "circulant": densify(Circulant([1.0, 2.0, -0.5, 1j])),
+    "hankel": densify(HankelMod([1.0, -2.0, 0.5, 3.0])),
+    "direct-sum": direct_sum([_RNG.standard_normal((3, 3)), magic3()]),
+    "balanced": magic3(),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_FAMILIES))
+def test_profile_applies_the_structure_rules_of_certified_bound(rule):
+    M = _FAMILIES[rule]
+    assert analyze(M).rule == rule
+    prof = profile(M)
+    assert prof.analysis.rule == rule
+    for p, b in zip(prof.grid, prof.bounds):
+        assert b == certified_bound(M, p)
