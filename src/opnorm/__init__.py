@@ -64,27 +64,20 @@ from .structured import (
     as_hankel,
     as_tensor_rank_one,
     as_unitary_permutation,
-    block_column_bound,
     block_grid_bound,
-    block_row_bound,
     circulant_two_norm,
     classify_circulant_la,
     column_embed,
-    column_embed_norm,
     densify,
     direct_sum,
-    direct_sum_norm,
     doubly_balanced_norm,
-    embed_is_la,
     hankel_factor,
     magic3,
     magic4,
     pad_embed,
     random_unitary_permutation,
     row_embed,
-    row_embed_norm,
     split_direct_sum,
-    tensor_is_la,
     tensor_norm,
 )
 

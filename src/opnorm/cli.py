@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``bounds`` (certified intervals at chosen exponents),
-``classify`` (structure report for a matrix file), ``profile`` (grid profile
-as CSV), ``generate`` (write structured example matrices), and ``oracle``
-(brute-force search for small real matrices).  Exit codes: 0 on success,
-2 for argument/parse/validation problems, 3 for file-system errors.
+``classify`` (the rule ``analyze`` applies and every recognizer's verdict),
+``profile`` (grid profile as CSV), ``generate`` (write structured example
+matrices), and ``oracle`` (brute-force search for small real matrices).
+Exit codes: 0 on success, 2 for argument/parse/validation problems, 3 for
+file-system errors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .core import Exponent, as_exponent
 from .estimator import analyze, oracle_search
-from .exact import anchor_norms
 from .interp import la_envelope, la_report_from_anchors, profile
 from .matio import MatrixParseError, parse_complex_token, read_matrix, write_matrix
 from .structured import (
@@ -80,13 +80,15 @@ def _complex_pair(z: complex) -> list[float]:
 
 def _cmd_classify(args) -> int:
     M = _load_square(args.matrix)
-    anchors = anchor_norms(M)
+    analysis = analyze(M)
+    anchors = analysis.anchors
     la = la_report_from_anchors(anchors)
     balanced = doubly_balanced_norm(M)
     circ = as_circulant(M)
     report = {
         "rows": M.shape[0],
         "cols": M.shape[1],
+        "rule": analysis.rule,
         "doubly_balanced": balanced is not None,
         "alpha": balanced,
         "circulant": circ is not None,
@@ -202,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=_cmd_bounds)
 
-    c = sub.add_parser("classify", help="structure report for a matrix file")
+    c = sub.add_parser("classify", help="the rule analyze applies and each recognizer's verdict")
     c.add_argument("matrix")
     c.set_defaults(func=_cmd_classify)
 

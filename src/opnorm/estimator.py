@@ -135,17 +135,13 @@ def _dual_direction(z: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Run:
-    value: float
-    x: np.ndarray
-    iterations: int
-    converged: bool
-    trace: tuple[float, ...]
+#: Iteration cap of one ascent restart, and the relative objective gain
+#: below which the restart counts as converged.
+_ASCENT_MAX_ITER = 500
+_ASCENT_GAIN_TOL = 1e-12
 
 
-def _ascent_run(M: np.ndarray, r: Exponent, x0: np.ndarray,
-                max_iter: int = 500, gain_tol: float = 1e-12) -> _Run:
+def _ascent_run(M: np.ndarray, r: Exponent, x0: np.ndarray) -> AscentResult:
     rv = r.value
     qv = dual_exponent(r).value
     Mh = np.conj(M.T)
@@ -153,14 +149,14 @@ def _ascent_run(M: np.ndarray, r: Exponent, x0: np.ndarray,
     trace: list[float] = []
     prev = None
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_ASCENT_MAX_ITER):
         y = M @ x
         obj = vec_norm(y, r)
         trace.append(obj)
         if obj == 0.0:
             converged = True
             break
-        if prev is not None and obj - prev <= gain_tol * prev:
+        if prev is not None and obj - prev <= _ASCENT_GAIN_TOL * prev:
             converged = True
             break
         prev = obj
@@ -172,7 +168,7 @@ def _ascent_run(M: np.ndarray, r: Exponent, x0: np.ndarray,
             break
         x = xn / nrm
     value = vec_norm(M @ x, r)
-    return _Run(value, x, len(trace), converged, tuple(trace))
+    return AscentResult(value, x, len(trace), converged, tuple(trace))
 
 
 def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int,
@@ -239,7 +235,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
     work = adjoint(M) if dual_run else M
     r = dual_exponent(p) if dual_run else p
 
-    best: _Run | None = None
+    best: AscentResult | None = None
     for x0, is_random in _ascent_starts(work, r, restarts, seed):
         run = _ascent_run(work, r, x0)
         prev_best = best.value if best is not None else None
@@ -253,17 +249,18 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
 
     assert best is not None
     if not dual_run:
-        return AscentResult(best.value, best.x, best.iterations, best.converged, best.trace)
+        return best
 
     # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at least
     # the dual objective, by the Hoelder equality of the duality map
-    w = work @ best.x
+    w = work @ best.maximizer
     xi = _dual_direction(w, r.value)
     if not np.any(xi):
         xi = np.ones(n, dtype=np.complex128)
     xi = xi / vec_norm(xi, p)
     value = vec_norm(M @ xi, p)
-    return AscentResult(value, xi, best.iterations, best.converged, best.trace + (value,))
+    return AscentResult(value, xi, best.iterations, best.converged,
+                        best.objective_trace + (value,))
 
 
 def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,

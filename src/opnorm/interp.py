@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import INF, Exponent, adjoint, as_exponent, as_matrix, dual_exponent
+from .core import (INF, Exponent, adjoint, as_exponent, as_matrix, dual_exponent,
+                   norm_equivalence_factor)
 from .exact import AnchorNorms, anchor_norms
 
 if TYPE_CHECKING:
@@ -47,6 +48,10 @@ __all__ = [
 #: How each side of a NormBound was certified.
 LOWER_PROVENANCES = ("ones-vector", "eigen-certificate", "boyd", "oracle", "anchor")
 UPPER_PROVENANCES = ("anchor", "riesz-thorin", "two-norm-scaled", "self-adjoint")
+
+#: How far n2 / sqrt(n1 * ninf) may fall below 1 for the anchors to count as
+#: log-affine.
+_LA_RATIO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,11 @@ def upper_bound_from_anchors(anchors: AnchorNorms, n: int, p,
     env = la_envelope(anchors, p)
     if p.value < 2.0:
         seg = riesz_thorin_bound(p, Exponent(1.0), anchors.n1, Exponent(2.0), anchors.n2)
+        factor = norm_equivalence_factor(n, p, 2.0)
     else:
         seg = riesz_thorin_bound(p, Exponent(2.0), anchors.n2, INF, anchors.ninf)
-    scaled = float(n) ** abs(0.5 - t) * anchors.n2
+        factor = norm_equivalence_factor(n, 2.0, p)
+    scaled = factor * anchors.n2
     best = min(env, seg, scaled)
     if best == seg:
         return UpperEstimate(seg, "self-adjoint" if self_adjoint else "riesz-thorin")
@@ -178,14 +185,12 @@ class LogAffineReport:
         return self.is_la
 
 
-def la_report_from_anchors(anchors: AnchorNorms, tol: float = 1e-9) -> LogAffineReport:
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+def la_report_from_anchors(anchors: AnchorNorms) -> LogAffineReport:
     mid = anchors.geometric_midpoint
     if mid == 0.0:
         return LogAffineReport(True, anchors, 1.0, degenerate=True)
     ratio = anchors.n2 / mid
-    return LogAffineReport(ratio >= 1.0 - tol, anchors, ratio)
+    return LogAffineReport(ratio >= 1.0 - _LA_RATIO_TOL, anchors, ratio)
 
 
 def is_log_affine(A) -> LogAffineReport:

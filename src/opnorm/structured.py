@@ -20,7 +20,6 @@ beta * |coeffs[i]|; its norm is then sum |coeffs[i]| for every p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,30 +36,27 @@ __all__ = [
     "as_hankel",
     "as_tensor_rank_one",
     "as_unitary_permutation",
-    "block_column_bound",
     "block_grid_bound",
-    "block_row_bound",
     "blocks_pairwise_proportional",
     "circulant_two_norm",
     "classify_circulant_la",
     "column_embed",
-    "column_embed_norm",
     "densify",
     "direct_sum",
-    "direct_sum_norm",
     "doubly_balanced_norm",
-    "embed_is_la",
     "hankel_factor",
     "magic3",
     "magic4",
     "pad_embed",
     "random_unitary_permutation",
     "row_embed",
-    "row_embed_norm",
     "split_direct_sum",
-    "tensor_is_la",
     "tensor_norm",
 ]
+
+#: Alignment tolerance of the circulant log-affine witness, relative to the
+#: largest coefficient modulus (at least 1).
+_LA_ALIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +295,7 @@ def circulant_two_norm(c: Circulant) -> float:
     return float(np.abs(grid @ c.coeffs).max())
 
 
-def classify_circulant_la(c: Circulant, tol: float = 1e-9) -> LAWitness:
+def classify_circulant_la(c: Circulant) -> LAWitness:
     """Search the n-th roots of unity for a logarithmic-affine witness."""
     a = c.coeffs
     n = c.n
@@ -309,7 +305,7 @@ def classify_circulant_la(c: Circulant, tol: float = 1e-9) -> LAWitness:
         return LAWitness(True, 1.0 + 0.0j, 1.0 + 0.0j, 0.0, degenerate=True)
     i0 = int(np.argmax(mods > 0.0))  # first nonzero coefficient
     idx = np.arange(n)
-    bound = tol * max(1.0, scale)
+    bound = _LA_ALIGN_TOL * max(1.0, scale)
     for k in range(n):
         omega_pows = np.exp(2j * np.pi * k * idx / n)
         beta = a[i0] * omega_pows[i0] / mods[i0]
@@ -328,7 +324,7 @@ def hankel_factor(h: HankelMod) -> tuple[UnitaryPermutation, Circulant]:
 
 
 # ---------------------------------------------------------------------------
-# embeddings, direct sums, block bounds
+# embeddings, direct sums, the block-grid bound
 
 def pad_embed(A, m: int) -> np.ndarray:
     """Zero-pad A into the top-left corner of an m x m matrix (norm preserving)."""
@@ -371,48 +367,6 @@ def split_direct_sum(A) -> list[np.ndarray]:
     return [M[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 
-def direct_sum_norm(parts):
-    """Norm of a block-diagonal sum: the maximum of the per-part norms.
-
-    Accepts plain norm values or (lower, upper) interval pairs; with any
-    interval present the result is (max of lowers, max of uppers).  The
-    combination rule is the same at every exponent.
-    """
-    vals = list(parts)
-    if not vals:
-        raise ValueError("direct_sum_norm needs at least one part")
-    if any(isinstance(v, tuple) for v in vals):
-        pairs = [tuple(map(float, v)) if isinstance(v, tuple) else (float(v), float(v))
-                 for v in vals]
-        return max(lo for lo, _ in pairs), max(hi for _, hi in pairs)
-    return max(float(v) for v in vals)
-
-
-def _nonneg_reals(values) -> np.ndarray:
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one block norm")
-    if arr.min() < 0.0:
-        raise ValueError("block norms must be nonnegative")
-    return arr
-
-
-def block_column_bound(block_norms, p) -> float:
-    """(sum_i v_i^p)^(1/p) over the per-block norms of one block column.
-
-    Valid upper bound always; an equality when all blocks attain their norm
-    at a shared maximizer (see ``blocks_pairwise_proportional``).
-    """
-    v = _nonneg_reals(block_norms)
-    return vec_norm(v, as_exponent(p))
-
-
-def block_row_bound(block_norms, p) -> float:
-    """(sum_j v_j^q)^(1/q) over one block row, q dual to p (upper bound)."""
-    v = _nonneg_reals(block_norms)
-    return vec_norm(v, dual_exponent(p))
-
-
 def block_grid_bound(block_norms, p) -> float:
     """Upper bound for a full k x l block partition from its block norm grid.
 
@@ -434,8 +388,9 @@ def block_grid_bound(block_norms, p) -> float:
 def blocks_pairwise_proportional(blocks) -> bool:
     """Whether every block is a scalar multiple of one common matrix.
 
-    This is the automatically checkable sufficient condition for the block
-    bounds above to hold with equality (shared maximizer).
+    This is the automatically checkable sufficient condition for the
+    one-column and one-row cases of ``block_grid_bound`` to hold with
+    equality (shared maximizer).
     """
     mats = [as_matrix(B) for B in blocks]
     if not mats:
@@ -464,7 +419,11 @@ def _common_multiple(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def column_embed(xi) -> np.ndarray:
-    """Square matrix with xi as its first column and zeros elsewhere."""
+    """Square matrix with xi as its first column and zeros elsewhere.
+
+    Its operator p-norm is ||xi||_p; ``analyze`` reads it as a rank-one
+    tensor with a 1 x 1 core and certifies that value exactly.
+    """
     x = as_vector(xi)
     M = np.zeros((x.size, x.size), dtype=np.complex128)
     M[:, 0] = x
@@ -472,36 +431,15 @@ def column_embed(xi) -> np.ndarray:
 
 
 def row_embed(xi) -> np.ndarray:
-    """Square matrix with conj(xi) as its first row and zeros elsewhere."""
+    """Square matrix with conj(xi) as its first row and zeros elsewhere.
+
+    Its operator p-norm is ||xi||_q with q dual to p, certified exactly by
+    ``analyze`` through the rank-one tensor rule.
+    """
     x = as_vector(xi)
     M = np.zeros((x.size, x.size), dtype=np.complex128)
     M[0, :] = np.conj(x)
     return M
-
-
-def column_embed_norm(xi, p) -> float:
-    """Operator p-norm of the column embedding: exactly ||xi||_p."""
-    return vec_norm(xi, as_exponent(p))
-
-
-def row_embed_norm(xi, p) -> float:
-    """Operator p-norm of the row embedding: exactly ||xi||_q, q dual to p."""
-    return vec_norm(xi, dual_exponent(p))
-
-
-def embed_is_la(xi) -> bool:
-    """Whether a vector embedding is logarithmic affine.
-
-    True exactly when all nonzero entries share one modulus (to 1e-9
-    relative); the zero vector counts as degenerately LA.
-    """
-    a = np.abs(as_vector(xi))
-    top = float(a.max())
-    if top == 0.0:
-        return True
-    nz = a > REL_TOL * top
-    lo = float(a[nz].min())
-    return top - lo <= 1e-9 * top
 
 
 def tensor_norm(t: TensorRankOne, p, core_norm):
@@ -516,11 +454,6 @@ def tensor_norm(t: TensorRankOne, p, core_norm):
         lo, hi = core_norm
         return fac * float(lo), fac * float(hi)
     return fac * float(core_norm)
-
-
-def tensor_is_la(t: TensorRankOne, core_is_la: bool) -> bool:
-    """LA holds for the block tensor iff both embeddings and the core are LA."""
-    return embed_is_la(t.alpha) and embed_is_la(t.beta) and bool(core_is_la)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,20 @@ def test_classify_circulant(tmp_path):
     assert doc["witness"]["norm"] == 6.0
     assert doc["log_affine"] and doc["la_ratio"] == pytest.approx(1.0, rel=1e-12)
     assert doc["anchors"]["one"] == 6.0
+    assert doc["rule"] == "balanced"  # balanced is tried before circulant
+
+
+def test_classify_reads_the_analysis(magic_path, monkeypatch, capsys):
+    calls = []
+    norm_two = opnorm.exact.norm_two
+    monkeypatch.setattr(opnorm.exact, "norm_two", lambda M: calls.append(1) or norm_two(M))
+    assert main(["classify", magic_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == []  # the balanced rule pins every anchor without Jacobi
+    assert doc["rule"] == "balanced"
+    assert doc["anchors"] == {"one": 15.0, "two": 15.0, "inf": 15.0}
+    assert doc["doubly_balanced"] and doc["alpha"] == 15.0
+    assert doc["log_affine"] and doc["la_ratio"] == 1.0
 
 
 def test_classify_requires_square(tmp_path):

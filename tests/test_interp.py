@@ -12,7 +12,6 @@ from opnorm.interp import (
     default_grid,
     is_log_affine,
     la_envelope,
-    la_report_from_anchors,
     profile,
     riesz_thorin_bound,
     three_point_log_affinity,
@@ -56,8 +55,6 @@ def test_la_report():
     assert rep.ratio < 1.0
     zero = is_log_affine(np.zeros((3, 3)))
     assert zero and zero.degenerate and zero.ratio == 1.0
-    with pytest.raises(ValueError):
-        la_report_from_anchors(anchor_norms(np.eye(2)), tol=0.0)
 
 
 def test_upper_bound_anchor_exactness():

@@ -5,7 +5,9 @@ import pytest
 from conftest import random_complex, svd_norm
 
 from opnorm.core import INF, dual_exponent, vec_norm
+from opnorm.estimator import analyze, ascent_lower_bound, certified_bound
 from opnorm.exact import norm_two
+from opnorm.interp import is_log_affine, upper_bound
 from opnorm.structured import (
     Circulant,
     HankelMod,
@@ -15,28 +17,21 @@ from opnorm.structured import (
     as_hankel,
     as_tensor_rank_one,
     as_unitary_permutation,
-    block_column_bound,
     block_grid_bound,
-    block_row_bound,
     blocks_pairwise_proportional,
     circulant_two_norm,
     classify_circulant_la,
     column_embed,
-    column_embed_norm,
     densify,
     direct_sum,
-    direct_sum_norm,
     doubly_balanced_norm,
-    embed_is_la,
     hankel_factor,
     magic3,
     magic4,
     pad_embed,
     random_unitary_permutation,
     row_embed,
-    row_embed_norm,
     split_direct_sum,
-    tensor_is_la,
     tensor_norm,
 )
 
@@ -182,12 +177,18 @@ def test_direct_sum_and_split_round_trip():
     assert len(split_direct_sum(random_complex(rng, 4, 4))) == 1
 
 
-def test_direct_sum_norm():
-    assert direct_sum_norm([2.0, 3.0, 1.0]) == 3.0
-    lo, hi = direct_sum_norm([(1.0, 2.0), (2.5, 3.0)])
-    assert (lo, hi) == (2.5, 3.0)
-    with pytest.raises(ValueError):
-        direct_sum_norm([])
+def test_direct_sum_certifies_the_max_over_its_parts():
+    # the norm of a direct sum is the max over its parts, point values and
+    # intervals alike
+    rng = np.random.default_rng(43)
+    for p in (1.0, 1.5, 3.0, INF):
+        b = certified_bound(direct_sum([magic3(), magic4(), np.eye(2)]), p)
+        assert (b.lower, b.upper) == (34.0, 34.0)
+        parts = [magic3(), random_complex(rng, 3, 3), 0.5 * random_complex(rng, 2, 2)]
+        b = certified_bound(direct_sum(parts), p)
+        sub = [certified_bound(P, p) for P in parts]
+        assert b.lower == max(s.lower for s in sub)
+        assert b.upper == max(s.upper for s in sub)
 
 
 def test_pad_embed_preserves_norm():
@@ -201,16 +202,19 @@ def test_pad_embed_preserves_norm():
 
 
 def test_block_bounds_dominate_norm():
-    from opnorm.estimator import ascent_lower_bound
-
     rng = np.random.default_rng(47)
     blocks = [[random_complex(rng, 2, 2) for _ in range(2)] for _ in range(2)]
     M = np.block(blocks)
     grid = [[svd_norm(blocks[i][j]) for j in range(2)] for i in range(2)]
     lo = ascent_lower_bound(M, 2).value
     assert block_grid_bound(grid, 2) >= lo * (1 - 1e-9)
-    assert block_column_bound([svd_norm(B) for B in (blocks[0][0], blocks[1][0])], 2) > 0
-    assert block_row_bound([1.0, 2.0], 2) == pytest.approx(vec_norm([1, 2], 2), rel=1e-15)
+    # one block column combines its block norms in l^p, one block row in l^q
+    v = rng.uniform(0.0, 3.0, 4)
+    for p in (1.0, 1.5, 2.0, 3.0, INF):
+        assert block_grid_bound(v[:, None], p) == vec_norm(v, p)
+        assert block_grid_bound(v[None, :], p) == vec_norm(v, dual_exponent(p))
+    with pytest.raises(ValueError):
+        block_grid_bound([[1.0, -1.0]], 2)
 
 
 def test_blocks_pairwise_proportional():
@@ -225,29 +229,38 @@ def test_embeds():
     assert np.array_equal(col, np.array([[1, 0], [2j, 0]], dtype=complex))
     row = row_embed(xi)
     assert np.array_equal(row, np.array([[1, -2j], [0, 0]], dtype=complex))
-    for p in (1.0, 1.5, 3.0, INF):
-        assert column_embed_norm(xi, p) == pytest.approx(vec_norm(xi, p), rel=1e-15)
-        assert row_embed_norm(xi, p) == pytest.approx(vec_norm(xi, dual_exponent(p)), rel=1e-15)
+    # the tensor rule certifies ||xi||_p for the column embedding and
+    # ||xi||_q for the row embedding, exactly
+    rng = np.random.default_rng(45)
+    for x in [xi] + [random_complex(rng, n) for n in range(2, 9)]:
+        for E, r in ((column_embed(x), lambda p: p), (row_embed(x), dual_exponent)):
+            assert analyze(E).rule == "tensor"
+            for p in (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, INF):
+                b = certified_bound(E, p)
+                assert b.lower == b.upper
+                assert b.upper == pytest.approx(vec_norm(x, r(p)), rel=1e-12)
 
 
 def test_embed_norms_match_operator_norms():
-    from opnorm.estimator import ascent_lower_bound
-    from opnorm.interp import upper_bound
-
     xi = np.array([1.0, 2.0, -1.5])
     for p in (1.5, 3.0):
-        for E, want in ((column_embed(xi), column_embed_norm(xi, p)),
-                        (row_embed(xi), row_embed_norm(xi, p))):
+        for E, want in ((column_embed(xi), vec_norm(xi, p)),
+                        (row_embed(xi), vec_norm(xi, dual_exponent(p)))):
             lo = ascent_lower_bound(E, p).value
             up = upper_bound(E, p).value
             assert lo <= want * (1 + 1e-9) and want <= up * (1 + 1e-9)
             assert lo == pytest.approx(want, rel=1e-6)
 
 
-def test_embed_is_la():
-    assert embed_is_la([1.0, 1j, -1.0])  # equal moduli
-    assert not embed_is_la([1.0, 2.0])
-    assert embed_is_la(np.zeros(3))
+def test_embeddings_are_log_affine_iff_moduli_agree():
+    # an embedding is log-affine exactly when its nonzero entries share one
+    # modulus; the zero vector is degenerately LA
+    for embed in (column_embed, row_embed):
+        assert is_log_affine(embed([1.0, 1j, -1.0]))
+        assert is_log_affine(embed([2.0, 0.0, -2j]))
+        assert not is_log_affine(embed([1.0, 2.0]))
+        zero = is_log_affine(embed(np.zeros(3)))
+        assert zero and zero.degenerate
 
 
 def test_tensor_norm_and_la():
@@ -260,10 +273,13 @@ def test_tensor_norm_and_la():
         assert tensor_norm(t, p, 5.0) == pytest.approx(want, rel=1e-15)
     lo, hi = tensor_norm(t, 2, (4.9, 5.1))
     assert (lo, hi) == pytest.approx((tensor_norm(t, 2, 4.9), tensor_norm(t, 2, 5.1)))
-    assert not tensor_is_la(t, True)  # b has unequal moduli
-    t2 = TensorRankOne(np.array([1.0, 1j]), np.array([1.0, -1.0]), core)
-    assert tensor_is_la(t2, True)
-    assert not tensor_is_la(t2, False)
+    # LA holds for the block tensor iff both factors and the core are LA
+    assert not is_log_affine(densify(t))  # b has unequal moduli
+    a2, b2 = np.array([1.0, 1j]), np.array([1.0, -1.0])
+    assert is_log_affine(densify(TensorRankOne(a2, b2, core)))
+    assert is_log_affine(densify(TensorRankOne(a2, b2, [[1.0, 1.0], [0.0, 0.0]])))
+    assert not is_log_affine([[1.0, 2.0], [3.0, 4.0]])
+    assert not is_log_affine(densify(TensorRankOne(a2, b2, [[1.0, 2.0], [3.0, 4.0]])))
 
 
 def test_random_unitary_permutation_deterministic():
