@@ -2,20 +2,23 @@
 
 The p = 1 and p = inf operator norms are the maximum absolute column and row
 sums.  The p = 2 norm is the largest singular value, computed by a
-self-contained cyclic Jacobi eigensolver on the (scaled) Gram matrix A*A;
-the achieved relative accuracy sits well inside the 1e-10 contract.
+self-contained Brent–Luk round-robin Jacobi eigensolver on the (scaled) Gram
+matrix A*A, which stops on the off-diagonal mass summed directly over the
+off-diagonal entries; the achieved relative accuracy sits well inside the
+1e-10 contract.
 ``is_p_isometry`` recognises phased permutation matrices, which preserve
 every p-norm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REL_TOL, adjoint, as_exponent, as_matrix, vec_norm
+from .core import REL_TOL, as_exponent, as_matrix, vec_norm
 from .structured import as_unitary_permutation
 
 __all__ = [
@@ -86,56 +89,92 @@ def norm_inf(A) -> float:
     return norm_inf_attained(A)[0]
 
 
-def _max_eig_hermitian(H: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian matrix by cyclic Jacobi rotations.
+@functools.lru_cache(maxsize=64)
+def _round_robin(n: int) -> np.ndarray:
+    """The Brent–Luk round-robin move for an even order n.
 
-    Each rotation phase-aligns the pivot entry and applies the classical
-    symmetric Schur rotation; sweeps stop when the off-diagonal Frobenius
-    mass falls below 1e-14 times the diagonal mass (at most 60 sweeps).
+    Each round rotates the n/2 disjoint pairs of positions (2k, 2k+1); then
+    rows and columns are both gathered by this permutation.  Position 0 stays
+    and the other indices advance one place around the circle
+    0, 2, 4, ..., n-2, n-1, n-3, ..., 3, 1, so that over n - 1 rounds every
+    pair of indices meets exactly once and the order returns to the identity.
     """
-    H = np.array(H, dtype=np.complex128)
-    n = H.shape[0]
-    if n == 1:
-        return float(H[0, 0].real)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        diag = H.diagonal().real
-        off_sq = float(np.sum(np.abs(H) ** 2)) - float(np.sum(np.abs(H.diagonal()) ** 2))
-        dmass = math.sqrt(float(np.sum(diag * diag)))
-        if math.sqrt(max(off_sq, 0.0)) <= _JACOBI_OFF_TOL * dmass:
+    m = n // 2
+    circle = np.concatenate((np.arange(0, n, 2), np.arange(n - 1, 0, -2)))
+    moved = np.concatenate((circle[:1], circle[-1:], circle[1:-1]))
+    perm = np.empty(n, dtype=np.intp)
+    perm[0::2] = moved[:m]
+    perm[1::2] = moved[::-1][:m]
+    perm.flags.writeable = False
+    return perm
+
+
+def _max_eig_hermitian(H: np.ndarray) -> tuple[float, int]:
+    """Largest eigenvalue of a Hermitian matrix, and the Jacobi sweeps it took.
+
+    Brent–Luk round-robin Jacobi: a sweep is n - 1 rounds, and each round
+    rotates n/2 disjoint pairs at once with whole-array updates (odd n is
+    padded with a zero row and column, which no rotation touches).  Each
+    rotation phase-aligns its pivot and is the classical symmetric Schur
+    rotation; a pivot below 1e-17 of its two diagonal entries, or below
+    1e-290, is left unrotated.  Sweeps stop when the off-diagonal Frobenius
+    mass, summed over the off-diagonal entries themselves, falls to 1e-14
+    times the diagonal mass, or after 60 sweeps; a count of 60 means the
+    mass never fell that far.  Real input stays real.
+    """
+    n0 = H.shape[0]
+    n = n0 + n0 % 2
+    m = n // 2
+    perm = _round_robin(n)
+    G = np.zeros((n, n), dtype=H.dtype)
+    G[:n0, :n0] = H
+    U = np.empty((m, 2, 2), dtype=H.dtype)  # per pair [[w c, w s], [-s, c]]
+    Ut = U.transpose(0, 2, 1)
+    sweeps = 0
+    while sweeps < _JACOBI_MAX_SWEEPS:
+        # the off-diagonal entries as one strided view: after the first
+        # entry, rows of n + 1 entries each end on the next diagonal entry
+        off = G.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+        off_mass = math.sqrt(float(np.sum(np.abs(off) ** 2)))
+        diag = G.diagonal().real
+        if off_mass <= _JACOBI_OFF_TOL * math.sqrt(float(diag @ diag)):
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hpq = H[p, q]
-                b = abs(hpq)
-                app = H[p, p].real
-                aqq = H[q, q].real
-                # pivots this small sit below the termination threshold and
-                # would only stir rounding noise (or overflow on subnormals)
-                if b <= 1e-17 * (abs(app) + abs(aqq)) or b < 1e-290:
-                    continue
-                w = hpq / b  # unimodular phase of the pivot
+        for _ in range(n - 1):
+            flat = G.reshape(-1)
+            hpq = flat[1 :: 2 * (n + 1)]  # G[2k, 2k+1]
+            diag = flat[:: n + 1].real
+            app, aqq = diag[0::2], diag[1::2]
+            absd = np.abs(diag)
+            b = np.abs(hpq)
+            # pivots this small sit below the termination threshold and
+            # would only stir rounding noise (or overflow on subnormals)
+            rotate = (b > 1e-17 * (absd[0::2] + absd[1::2])) & (b >= 1e-290)
+            if np.count_nonzero(rotate):
+                b = np.where(rotate, b, 1.0)
+                w = np.where(rotate, hpq / b, 1.0)  # unimodular phase of the pivot
                 tau = (aqq - app) / (2.0 * b)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                t = 1.0 / (np.abs(tau) + np.hypot(1.0, tau))
+                t = np.where(tau >= 0.0, t, -t) * rotate
+                c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                # two-sided update U* H U with U acting on columns p, q as
-                # [[w c, w s], [-s, c]]
-                cp = H[:, p].copy()
-                cq = H[:, q].copy()
-                H[:, p] = w * c * cp - s * cq
-                H[:, q] = w * s * cp + c * cq
-                rp = H[p, :].copy()
-                rq = H[q, :].copy()
-                H[p, :] = np.conj(w) * c * rp - s * rq
-                H[q, :] = np.conj(w) * s * rp + c * rq
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                H[p, p] = H[p, p].real
-                H[q, q] = H[q, q].real
-    return float(np.max(H.diagonal().real))
+                U[:, 0, 0] = w * c
+                U[:, 0, 1] = w * s
+                U[:, 1, 0] = -s
+                U[:, 1, 1] = c
+                # rows: X = U* G; columns: (X U)^T = U^T X^T, whose pairs of
+                # rows are pairs of columns of X.  The result is the transpose
+                # of U* G U, i.e. its complex conjugate: the same eigenvalues,
+                # with no transposed copy.
+                X = Ut.conj() @ G.reshape(m, 2, n)
+                G = (Ut @ X.reshape(n, m, 2).transpose(1, 2, 0)).reshape(n, n)
+                flat = G.reshape(-1)
+                flat[1 :: 2 * (n + 1)][rotate] = 0.0
+                flat[n :: 2 * (n + 1)][rotate] = 0.0
+                flat[:: n + 1] = flat[:: n + 1].real
+            G = G.take(perm, axis=0).take(perm, axis=1)
+        sweeps += 1
+    # every sweep ends in the original order, so the padding is the last row
+    return float(np.max(G.diagonal()[:n0].real)), sweeps
 
 
 def norm_two(A) -> float:
@@ -143,12 +182,14 @@ def norm_two(A) -> float:
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
         raise ValueError("norm_two requires a square matrix")
+    if not M.imag.any():
+        M = M.real
     top = float(np.abs(M).max())
     if top == 0.0:
         return 0.0
     scaled = M / top
-    gram = adjoint(scaled) @ scaled
-    lam = max(_max_eig_hermitian(gram), 0.0)
+    gram = np.conj(scaled.T) @ scaled
+    lam = max(_max_eig_hermitian(gram)[0], 0.0)
     return top * math.sqrt(lam)
 
 

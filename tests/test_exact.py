@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from conftest import random_complex, svd_norm
 
+from opnorm.estimator import certified_bound
 from opnorm.exact import (
     AnchorNorms,
+    _max_eig_hermitian,
+    _round_robin,
     anchor_norms,
     is_p_isometry,
     norm_inf,
@@ -43,12 +46,66 @@ def test_norm_one_norm_inf_duality():
     assert norm_one(A) == pytest.approx(norm_inf(np.conj(A.T)), rel=1e-15)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def _random_input(rng, kind, n):
+    if kind == "complex":
+        return random_complex(rng, n, n)
+    if kind == "real":
+        return rng.standard_normal((n, n))
+    return rng.random((n, n))  # nonnegative
+
+
+KINDS = ["complex", "real", "nonnegative"]
+
+
+# odd n exercises the padding, real input the real Gram matrix
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 31, 33, 64])
 def test_norm_two_matches_svd_oracle(n):
     rng = np.random.default_rng(100 + n)
-    for _ in range(8):
-        A = random_complex(rng, n, n)
-        assert norm_two(A) == pytest.approx(svd_norm(A), rel=1e-12)
+    for kind in KINDS:
+        for _ in range(8 if n <= 16 else 2):
+            A = _random_input(rng, kind, n)
+            assert norm_two(A) == pytest.approx(svd_norm(A), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 32])
+def test_round_robin_meets_every_pair_once(n):
+    perm = _round_robin(n)
+    layout = np.arange(n)
+    met = []
+    for _ in range(n - 1):
+        met += [frozenset(pair) for pair in layout.reshape(-1, 2).tolist()]
+        layout = layout[perm]
+    assert len(met) == len(set(met)) == n * (n - 1) // 2
+    assert layout.tolist() == list(range(n))  # a sweep ends where it began
+
+
+def _near_identity_inputs():
+    yield np.array([[1.0, 1e-9], [0.0, 1.0]])
+    for n in (3, 8, 32):
+        rng = np.random.default_rng(3)
+        yield np.eye(n) + 1e-9 * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("A", list(_near_identity_inputs()), ids=lambda A: f"n{len(A)}")
+def test_norm_two_near_identity_converges(A):
+    # the diagonal holds nearly all the mass here, so an off-diagonal mass
+    # taken as a difference of two sums cancels to rounding noise
+    ref = float(np.linalg.norm(A, 2))
+    assert abs(norm_two(A) - ref) <= 1e-10
+    b = certified_bound(A, 2)
+    assert b.lower - 1e-12 * ref <= ref <= b.upper + 1e-12 * ref
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [4, 16, 32, 40, 64])
+def test_jacobi_stops_before_the_sweep_cap(n, kind):
+    rng = np.random.default_rng(7 * n)
+    for _ in range(3):
+        A = _random_input(rng, kind, n)
+        gram = np.conj(A.T) @ A
+        value, sweeps = _max_eig_hermitian(gram)
+        assert sweeps < 60
+        assert value == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-12)
 
 
 def test_norm_two_special_shapes():
