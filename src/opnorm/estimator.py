@@ -4,9 +4,12 @@
 p-norm: xi <- Phi_q(A* Phi_p(A xi)) with Phi_r(z) = |z|^(r-1) sign(z); the
 objective ||A xi||_p / ||xi||_p is nondecreasing along the iteration and the
 returned value is always recomputed from the returned maximizer, so it is a
-true attained lower bound regardless of convergence.  For 1 < p < 2 the
-iteration runs on (A*, q) and maps the maximizer back through the duality
-relation ||A||_p = ||A*||_q, which keeps the working exponent >= 2.
+true attained lower bound regardless of convergence.  All starts run as the
+columns of one n x k block, one matmul per side and step, each column
+freezing on its own stopping test; there is no early stop across starts.
+For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
+through the duality relation ||A||_p = ||A*||_q, which keeps the working
+exponent >= 2.
 
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
@@ -86,8 +89,9 @@ class AscentResult:
 
     The value is recomputed from the maximizer before returning, so the
     self-certification identity holds to working precision by construction.
-    ``objective_trace`` records the nondecreasing objective of the winning
-    restart.
+    ``iterations``, ``converged`` and ``objective_trace`` describe the
+    winning start; the trace is nondecreasing up to rounding and ends at
+    ``value``.
     """
 
     value: float
@@ -123,57 +127,45 @@ def eigen_lower_bound(A, xi, S, lam) -> float:
     return abs(lam)
 
 
-def _dual_direction(z: np.ndarray, r: float) -> np.ndarray:
-    """Direction of Phi_r(z) = |z|^(r-1) sign(z), scaled to avoid overflow."""
-    a = np.abs(z)
-    top = a.max()
-    if top == 0.0:
-        return np.zeros_like(z)
-    out = np.zeros_like(z)
-    nz = a > 0.0
-    out[nz] = (a[nz] / top) ** (r - 1.0) * (z[nz] / a[nz])
-    return out
+#: Smallest positive double.  ``np.maximum(top, _TINY)`` keeps every nonzero
+#: column maximum and makes a zero one a divisor that maps its column to zeros.
+_TINY = 5e-324
 
 
-#: Iteration cap of one ascent restart, and the relative objective gain
-#: below which the restart counts as converged.
+def _col_pnorms(Y: np.ndarray, p: Exponent) -> np.ndarray:
+    """p-norm of every column, with powers taken on |y| / max|y| per column."""
+    a = np.abs(Y)
+    top = a.max(axis=0)
+    if p.is_inf:
+        return top
+    s = ((a / np.maximum(top, _TINY)) ** p.value).sum(axis=0)
+    return top * s ** (1.0 / p.value)
+
+
+def _dual_direction(Z: np.ndarray, r: float) -> np.ndarray:
+    """Direction of Phi_r(z) = |z|^(r-1) sign(z) for every column z of Z,
+    scaled by the column's largest modulus to avoid overflow; zero columns
+    stay zero."""
+    a = np.abs(Z)
+    scaled = a / np.maximum(a.max(axis=0), _TINY)
+    sign = np.divide(Z, a, out=np.zeros(Z.shape, dtype=Z.dtype), where=a > 0.0)
+    return scaled ** (r - 1.0) * sign
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    if not np.isfinite(v).all():
+        raise ValueError("ascent iterates must be finite")
+    return v
+
+
+#: Iteration cap of every ascent column, and the relative objective gain
+#: below which the column counts as converged.
 _ASCENT_MAX_ITER = 500
 _ASCENT_GAIN_TOL = 1e-12
 
 
-def _ascent_run(M: np.ndarray, r: Exponent, x0: np.ndarray) -> AscentResult:
-    rv = r.value
-    qv = dual_exponent(r).value
-    Mh = np.conj(M.T)
-    x = x0 / vec_norm(x0, r)
-    trace: list[float] = []
-    prev = None
-    converged = False
-    for _ in range(_ASCENT_MAX_ITER):
-        y = M @ x
-        obj = vec_norm(y, r)
-        trace.append(obj)
-        if obj == 0.0:
-            converged = True
-            break
-        if prev is not None and obj - prev <= _ASCENT_GAIN_TOL * prev:
-            converged = True
-            break
-        prev = obj
-        u = _dual_direction(y, rv)
-        z = Mh @ u
-        xn = _dual_direction(z, qv)
-        nrm = vec_norm(xn, r)
-        if nrm == 0.0:
-            break
-        x = xn / nrm
-    value = vec_norm(M @ x, r)
-    return AscentResult(value, x, len(trace), converged, tuple(trace))
-
-
-def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int,
-                   seed: int) -> list[tuple[np.ndarray, bool]]:
-    """Start vectors as (vector, is_random) pairs.
+def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int, seed: int) -> np.ndarray:
+    """Start vectors as the columns of one n x k block.
 
     Deterministic: the ones vector, the unit vector of the largest-r-norm
     column, and — for real matrices of size <= 4 — one seed per sign orthant,
@@ -181,33 +173,85 @@ def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int,
     rarely crosses orthants.  Then restarts-2 seeded complex random starts.
     """
     n = M.shape[1]
-    starts: list[tuple[np.ndarray, bool]] = [(np.ones(n, dtype=np.complex128), False)]
-    if restarts < 2:
-        return starts
-    j = int(np.argmax([vec_norm(M[:, k], r) for k in range(n)]))
-    e = np.zeros(n, dtype=np.complex128)
-    e[j] = 1.0
-    starts.append((e, False))
-    if n <= 4 and float(np.abs(M.imag).max()) == 0.0:
-        for bits in range(1, 2 ** (n - 1)):  # skip all-plus: already seeded
-            signs = [1.0] + [-1.0 if bits >> k & 1 else 1.0 for k in range(n - 1)]
-            starts.append((np.array(signs, dtype=np.complex128), False))
-    for k in range(restarts - 2):
-        rng = np.random.default_rng([seed, k])
-        starts.append((rng.standard_normal(n) + 1j * rng.standard_normal(n), True))
-    return starts
+    starts = [np.ones(n, dtype=np.complex128)]
+    if restarts >= 2:
+        e = np.zeros(n, dtype=np.complex128)
+        e[int(np.argmax(_col_pnorms(M, r)))] = 1.0
+        starts.append(e)
+        if n <= 4 and float(np.abs(M.imag).max()) == 0.0:
+            for bits in range(1, 2 ** (n - 1)):  # skip all-plus: already seeded
+                signs = [1.0] + [-1.0 if bits >> k & 1 else 1.0 for k in range(n - 1)]
+                starts.append(np.array(signs, dtype=np.complex128))
+        for k in range(restarts - 2):
+            rng = np.random.default_rng([seed, k])
+            starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return np.stack(starts, axis=1)
+
+
+def _block_ascent(M: np.ndarray, r: Exponent, X: np.ndarray) -> AscentResult:
+    """Run the ascent from every column of X at once; the first column with
+    the largest final objective wins.
+
+    Each step is X <- Phi_q(M* Phi_r(M X)) with per-column normalisation.  A
+    column freezes when its objective is zero, gains less than 1e-12
+    relative, or its next direction is zero; the others go on, up to 500
+    steps.  An overflow in either product makes a column norm nonfinite,
+    which raises ValueError.
+    """
+    rv = r.value
+    qv = dual_exponent(r).value
+    Mh = np.conj(M.T)
+    k = X.shape[1]
+    X = X / _col_pnorms(X, r)
+    objs = np.empty((_ASCENT_MAX_ITER, k))
+    iters = np.full(k, _ASCENT_MAX_ITER)
+    converged = np.zeros(k, dtype=bool)
+    live = np.arange(k)  # the columns still iterating, held in Xl
+    Xl = X
+    prev = None
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports both
+        for step in range(_ASCENT_MAX_ITER):
+            Y = M @ Xl
+            obj = _finite(_col_pnorms(Y, r))
+            objs[step, live] = obj
+            done = obj == 0.0
+            if prev is not None:
+                done |= obj - prev <= _ASCENT_GAIN_TOL * prev
+            Xn = _dual_direction(Mh @ _dual_direction(Y, rv), qv)
+            nrm = _finite(_col_pnorms(Xn, r))
+            stop = done | (nrm == 0.0)
+            if stop.any():
+                iters[live[stop]] = step + 1
+                converged[live[done]] = True
+                X[:, live[stop]] = Xl[:, stop]
+                keep = ~stop
+                live, Xn, nrm, obj = live[keep], Xn[:, keep], nrm[keep], obj[keep]
+                if not live.size:
+                    break
+            Xl, prev = Xn / nrm, obj
+        else:
+            X[:, live] = Xl  # these columns moved on after their last objective
+        w = int(np.argmax(_finite(_col_pnorms(M @ X, r))))
+    x = X[:, w]
+    value = vec_norm(M @ x, r)
+    # a frozen column's last objective is that of x, which value replaces;
+    # a capped column moved on after its last one
+    recorded = iters[w] if w in live else iters[w] - 1
+    return AscentResult(value, x, int(iters[w]), bool(converged[w]),
+                        tuple(objs[:recorded, w].tolist()) + (value,))
 
 
 def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
     """Iterative ascent lower bound for the operator p-norm.
 
-    Restarts from the ones vector, the unit vector of the largest-norm
-    column, sign-orthant seeds for small real matrices, and seeded random
-    complex vectors; a restart stops when the
-    relative objective gain drops below 1e-12 (at most 500 iterations), and
-    restarting stops early once a random start re-confirms the best value
-    seen so far to 1e-10.  At p in {1, inf} the exact attaining coordinate
-    formulas are used directly.
+    All starts run together as the columns of one n x k block: the ones
+    vector, the unit vector of the largest-norm column, sign-orthant seeds
+    for small real matrices, and restarts-2 seeded random complex vectors.
+    Each step is one matmul per side for the whole block; a column freezes
+    once its relative objective gain drops below 1e-12 (at most 500 steps),
+    and the first column with the largest objective wins.  Every start runs
+    to its own stop; there is no early stop across starts.  At p in {1, inf}
+    the exact attaining coordinate formulas are used directly.
     """
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
@@ -224,8 +268,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
         return AscentResult(value, x, 0, True, (value,))
     if p.is_inf:
         value, i = norm_inf_attained(M)
-        row = M[i, :]
-        x = np.where(np.abs(row) > 0.0, np.conj(row) / np.where(np.abs(row) > 0.0, np.abs(row), 1.0), 0.0)
+        x = _dual_direction(np.conj(M[i, :, None]), 1.0)[:, 0]  # the phases of row i
         if not np.any(x):
             x = np.zeros(n, dtype=np.complex128)
             x[0] = 1.0
@@ -234,27 +277,13 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
     dual_run = p.value < 2.0
     work = adjoint(M) if dual_run else M
     r = dual_exponent(p) if dual_run else p
-
-    best: AscentResult | None = None
-    for x0, is_random in _ascent_starts(work, r, restarts, seed):
-        run = _ascent_run(work, r, x0)
-        prev_best = best.value if best is not None else None
-        if best is None or run.value > best.value:
-            best = run
-        # deterministic starts often share a basin, so agreement only counts
-        # once a seeded random start confirms the incumbent value
-        if (is_random and prev_best is not None
-                and abs(run.value - prev_best) <= 1e-10 * max(1.0, prev_best)):
-            break
-
-    assert best is not None
+    best = _block_ascent(work, r, _ascent_starts(work, r, restarts, seed))
     if not dual_run:
         return best
 
     # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at least
     # the dual objective, by the Hoelder equality of the duality map
-    w = work @ best.maximizer
-    xi = _dual_direction(w, r.value)
+    xi = _dual_direction((work @ best.maximizer)[:, None], r.value)[:, 0]
     if not np.any(xi):
         xi = np.ones(n, dtype=np.complex128)
     xi = xi / vec_norm(xi, p)
@@ -287,16 +316,6 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,
 
 # ---------------------------------------------------------------------------
 # brute-force oracle (real 2x2 and 3x3 only)
-
-def _col_pnorms(Y: np.ndarray, p: Exponent) -> np.ndarray:
-    a = np.abs(Y)
-    top = a.max(axis=0)
-    if p.is_inf:
-        return top
-    safe = np.where(top > 0.0, top, 1.0)
-    s = ((a / safe) ** p.value).sum(axis=0)
-    return top * s ** (1.0 / p.value)
-
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

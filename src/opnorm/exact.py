@@ -59,8 +59,16 @@ class AnchorNorms:
 
     @property
     def geometric_midpoint(self) -> float:
-        """sqrt(n1 * ninf), the interpolated value at p = 2."""
-        return math.sqrt(self.n1 * self.ninf)
+        """sqrt(n1 * ninf), the interpolated value at p = 2.
+
+        The product is formed on the mantissas, so it neither under- nor
+        overflows, and the result has the bits of sqrt(n1 * ninf) wherever
+        that product is in range.
+        """
+        m1, e1 = math.frexp(self.n1)
+        m2, e2 = math.frexp(self.ninf)
+        e = e1 + e2
+        return math.ldexp(math.sqrt(math.ldexp(m1 * m2, e % 2)), e // 2)
 
 
 def norm_one_attained(A) -> tuple[float, int]:

@@ -20,6 +20,7 @@ beta * |coeffs[i]|; its norm is then sum |coeffs[i]| for every p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 #: Alignment tolerance of the circulant log-affine witness, relative to the
-#: largest coefficient modulus (at least 1).
+#: largest coefficient modulus.
 _LA_ALIGN_TOL = 1e-9
 
 
@@ -179,10 +180,12 @@ def densify(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# structural recognizers (tight tolerance: these drive exactness claims)
+# structural recognizers (tight tolerance: these drive exactness claims).
+# Every tolerance is relative to the largest modulus it tests, so a verdict
+# does not change when the matrix is scaled.
 
 def _struct_tol(M: np.ndarray) -> float:
-    return REL_TOL * max(1.0, float(np.abs(M).max()))
+    return REL_TOL * float(np.abs(M).max())
 
 
 def as_circulant(A) -> Circulant | None:
@@ -252,7 +255,7 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
         pivot = C[i0, j0]
         u = C[:, j0]
         v = C[i0, :] / pivot
-        if float(np.abs(C - np.outer(u, v)).max()) > REL_TOL * max(1.0, float(np.abs(C).max())):
+        if float(np.abs(C - np.outer(u, v)).max()) > REL_TOL * float(np.abs(C).max()):
             continue
         return TensorRankOne(u, np.conj(v), ref.reshape(m, m))
     return None
@@ -264,17 +267,19 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
 def doubly_balanced_norm(A) -> float | None:
     """Shared row/column sum of a nonnegative doubly balanced matrix, or None.
 
-    Entries must be real up to 1e-12 (tiny negatives are clamped to 0) and
-    all row and column sums must agree to 1e-9 relative; the common sum is
-    then the operator norm at every exponent.
+    Entries must be real and nonnegative up to 1e-12 of the largest modulus
+    (tiny negatives are clamped to 0) and all row and column sums must agree
+    to 1e-9 relative; the common sum is then the operator norm at every
+    exponent.
     """
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
         raise ValueError("doubly_balanced_norm requires a square matrix")
-    if float(np.abs(M.imag).max()) > 1e-12:
+    tol = 1e-12 * float(np.abs(M).max())
+    if float(np.abs(M.imag).max()) > tol:
         return None
     R = M.real.copy()
-    if float(R.min()) < -1e-12:
+    if float(R.min()) < -tol:
         return None
     np.clip(R, 0.0, None, out=R)
     rows = R.sum(axis=1)
@@ -305,7 +310,7 @@ def classify_circulant_la(c: Circulant) -> LAWitness:
         return LAWitness(True, 1.0 + 0.0j, 1.0 + 0.0j, 0.0, degenerate=True)
     i0 = int(np.argmax(mods > 0.0))  # first nonzero coefficient
     idx = np.arange(n)
-    bound = _LA_ALIGN_TOL * max(1.0, scale)
+    bound = _LA_ALIGN_TOL * scale
     for k in range(n):
         omega_pows = np.exp(2j * np.pi * k * idx / n)
         beta = a[i0] * omega_pows[i0] / mods[i0]
@@ -405,15 +410,20 @@ def _common_multiple(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(coef, ref) with every row stack[k] = coef[k] * ref, or None.
 
     ``ref`` is the row holding the largest entry; the fit is checked to the
-    structural tolerance.
+    structural tolerance.  The projections pair each row with ref scaled by
+    the power of two that brings its largest modulus into [0.5, 1): that is
+    exact, so coef is unchanged, and no product of two entries under- or
+    overflows.
     """
     mags = np.abs(stack)
-    ref = stack[int(np.argmax(mags.max(axis=1)))]
+    i = int(np.argmax(mags.max(axis=1)))
+    top = float(mags[i].max())
+    ref = stack[i]
+    unit = ref * math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
     # ref holds the largest entry, so a zero ref means an all-zero stack,
     # which fits with zero coefficients
-    coef = (stack @ np.conj(ref)) / (np.vdot(ref, ref).real or 1.0)
-    tol = REL_TOL * max(1.0, float(mags.max()))
-    if float(np.abs(stack - coef[:, None] * ref[None, :]).max()) > tol:
+    coef = (stack @ np.conj(unit)) / (np.vdot(unit, ref).real or 1.0)
+    if float(np.abs(stack - coef[:, None] * ref[None, :]).max()) > REL_TOL * top:
         return None
     return coef, ref
 

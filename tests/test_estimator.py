@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_complex, svd_norm
 
-from opnorm.core import INF, dual_exponent, vec_norm
+from opnorm import estimator
+from opnorm.core import INF, as_exponent, as_matrix, dual_exponent, vec_norm
 from opnorm.estimator import (
     CertificateError,
+    _ascent_starts,
     ascent_lower_bound,
     best_lower_bound,
     certified_bound,
@@ -49,6 +52,7 @@ def test_ascent_trace_monotone():
     res = ascent_lower_bound(A, 3.5)
     assert all(b >= a * (1 - 1e-12) for a, b in zip(res.objective_trace, res.objective_trace[1:]))
     assert res.converged
+    assert res.objective_trace[-1] == res.value
 
 
 def test_ascent_dual_consistency():
@@ -71,6 +75,73 @@ def test_ascent_validation():
 def test_ascent_zero_matrix():
     res = ascent_lower_bound(np.zeros((3, 3)), 2.5)
     assert res.value == 0.0
+
+
+def test_ascent_more_restarts_never_lower():
+    # the starts of k restarts are the first columns of the block for k + 1
+    rng = np.random.default_rng(56)
+    for n in (3, 4, 6, 9):
+        for A in (rng.standard_normal((n, n)), random_complex(rng, n, n)):
+            for p in (1.5, 3.0):
+                vals = [ascent_lower_bound(A, p, restarts=k).value for k in range(1, 10)]
+                assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
+
+
+def _loop_ascent(M, p, x):
+    """Reference for p >= 2: one start at a time, as a plain vector loop."""
+    q = dual_exponent(p)
+    x = x / vec_norm(x, p)
+    prev = None
+    for _ in range(500):
+        y = M @ x
+        obj = vec_norm(y, p)
+        if obj == 0.0 or (prev is not None and obj - prev <= 1e-12 * prev):
+            break
+        prev = obj
+        u = np.abs(y) ** (p - 1) * np.exp(1j * np.angle(y))
+        z = np.conj(M.T) @ u
+        x = np.abs(z) ** (q.value - 1) * np.exp(1j * np.angle(z))
+        x = x / vec_norm(x, p)
+    return vec_norm(M @ x, p)
+
+
+def test_block_ascent_matches_a_loop_over_its_starts():
+    rng = np.random.default_rng(57)
+    for n in (3, 5, 8):
+        for A in (rng.standard_normal((n, n)), random_complex(rng, n, n)):
+            for p in (2.5, 4.0):
+                starts = _ascent_starts(as_matrix(A), as_exponent(p), 8, 0)
+                want = max(_loop_ascent(A, p, x) for x in starts.T)
+                assert ascent_lower_bound(A, p).value == pytest.approx(want, rel=1e-9)
+
+
+def test_ascent_capped_columns_report_their_last_step(monkeypatch):
+    monkeypatch.setattr(estimator, "_ASCENT_MAX_ITER", 3)
+    A = random_complex(np.random.default_rng(58), 6, 6)
+    res = ascent_lower_bound(A, 3.0)
+    assert (res.iterations, res.converged) == (3, False)
+    assert len(res.objective_trace) == 4 and res.objective_trace[-1] == res.value
+    assert res.value == pytest.approx(vec_norm(A @ res.maximizer, 3.0), rel=1e-12)
+
+
+def test_ascent_nilpotent_column_freezes_at_zero():
+    # A = u v^T with v orthogonal to u and to the ones vector: A^2 = 0 and
+    # the ones start lands on a zero objective at once
+    u = np.array([2.0, 1.0, 1.0, 2.0])
+    v = np.array([1.0, -1.0, 1.0, -1.0])
+    A = np.outer(u, v)
+    only_ones = ascent_lower_bound(A, 3.0, restarts=1)
+    assert only_ones.value == 0.0 and only_ones.converged and only_ones.iterations == 1
+    for p in (1.5, 3.0):
+        want = vec_norm(u, p) * vec_norm(v, dual_exponent(p))
+        assert ascent_lower_bound(A, p).value == pytest.approx(want, rel=1e-9)
+
+
+def test_ascent_overflow_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            ascent_lower_bound([[1e308, 1e308], [1e308, -1e308]], 3)
 
 
 def test_eigen_lower_bound_accepts_circulant_pair():
