@@ -14,7 +14,6 @@ from .core import (
     as_vector,
     dual_exponent,
     norm_equivalence_factor,
-    pairing,
     vec_norm,
 )
 from .estimator import (
@@ -49,7 +48,6 @@ from .interp import (
     la_report_from_anchors,
     profile,
     riesz_thorin_bound,
-    three_point_log_affinity,
     upper_bound,
     upper_bound_from_anchors,
 )
@@ -74,7 +72,6 @@ from .structured import (
     hankel_factor,
     magic3,
     magic4,
-    pad_embed,
     random_unitary_permutation,
     row_embed,
     split_direct_sum,

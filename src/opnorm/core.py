@@ -3,7 +3,9 @@
 All numerical values flow through numpy complex128 arrays.  ``as_vector`` and
 ``as_matrix`` validate shape, finiteness and nonemptiness and return read-only
 copies, so constructed values behave as immutable and every operation here is
-a pure function.  ``Exponent`` keeps p = inf exact (no large-float stand-in),
+a pure function.  ``as_matrix`` hands an array it returned back as is, so a
+matrix passed down through the recognizers, anchors and ascent is validated
+once.  ``Exponent`` keeps p = inf exact (no large-float stand-in),
 which makes the endpoint identities dual(1) = inf and dual(inf) = 1 hold
 without rounding.
 """
@@ -11,6 +13,7 @@ without rounding.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +28,6 @@ __all__ = [
     "as_vector",
     "dual_exponent",
     "norm_equivalence_factor",
-    "pairing",
     "vec_norm",
 ]
 
@@ -114,8 +116,20 @@ def as_vector(entries) -> np.ndarray:
     return arr
 
 
+#: The arrays ``as_matrix`` returned, by id, for as long as they live.
+_VALIDATED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def as_matrix(entries) -> np.ndarray:
-    """Validate and freeze a nonempty 2-D complex128 array (row-major)."""
+    """Validate and freeze a nonempty 2-D complex128 array (row-major).
+
+    An array this function returned earlier is returned as is; anything else
+    is copied and checked.  The result is a view of the read-only copy, so
+    it cannot be made writeable again and its checked entries stay as they
+    are.
+    """
+    if _VALIDATED.get(id(entries)) is entries:
+        return entries
     arr = np.array(entries, dtype=np.complex128, order="C")
     if arr.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {arr.shape}")
@@ -124,6 +138,8 @@ def as_matrix(entries) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     arr.setflags(write=False)
+    arr = arr.view()
+    _VALIDATED[id(arr)] = arr
     return arr
 
 
@@ -152,15 +168,6 @@ def vec_norm(xi, p) -> float:
         return top
     s = float(np.sum((a / top) ** pv))
     return top * s ** (1.0 / pv)
-
-
-def pairing(xi, eta) -> complex:
-    """Sesquilinear pairing sum_i x_i * conj(y_i) (conjugate in the second slot)."""
-    x = as_vector(xi)
-    y = as_vector(eta)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    return complex(np.vdot(y, x))
 
 
 def adjoint(A) -> np.ndarray:

@@ -119,9 +119,9 @@ def eigen_lower_bound(A, xi, S, lam) -> float:
     lam = complex(lam)
     lhs = M @ x
     rhs = lam * (densify(S) @ x)
-    scale = max(vec_norm(lhs, 2), vec_norm(rhs, 2)) if (np.any(lhs) or np.any(rhs)) else 0.0
+    scale = max(vec_norm(lhs, 2), vec_norm(rhs, 2))
     resid = vec_norm(lhs - rhs, 2)
-    if resid > 1e-9 * max(scale, 1e-300):
+    if resid > 1e-9 * scale:
         raise CertificateError(
             f"eigen certificate rejected: residual {resid:.3e} against scale {scale:.3e}")
     return abs(lam)

@@ -40,13 +40,12 @@ __all__ = [
     "la_report_from_anchors",
     "profile",
     "riesz_thorin_bound",
-    "three_point_log_affinity",
     "upper_bound",
     "upper_bound_from_anchors",
 ]
 
 #: How each side of a NormBound was certified.
-LOWER_PROVENANCES = ("ones-vector", "eigen-certificate", "boyd", "oracle", "anchor")
+LOWER_PROVENANCES = ("ones-vector", "eigen-certificate", "boyd", "anchor")
 UPPER_PROVENANCES = ("anchor", "riesz-thorin", "two-norm-scaled", "self-adjoint")
 
 #: How far n2 / sqrt(n1 * ninf) may fall below 1 for the anchors to count as
@@ -60,7 +59,7 @@ class NormBound:
 
     Lower tags: "ones-vector" (balanced row/column sums), "eigen-certificate"
     (eigenvector through a phased permutation), "boyd" (iterative ascent),
-    "oracle" (grid search), "anchor" (exact value at p in {1, 2, inf}, also
+    "anchor" (exact value at p in {1, 2, inf}, also
     used when an anchor equality certifies the whole envelope).  Upper tags:
     "anchor", "riesz-thorin" (envelope or two-segment interpolation),
     "two-norm-scaled", "self-adjoint" (the p <-> q symmetric segment form).
@@ -198,24 +197,6 @@ def is_log_affine(A) -> LogAffineReport:
     return la_report_from_anchors(anchor_norms(A))
 
 
-def three_point_log_affinity(f_p, f_q0, f_r, p, q0, r) -> bool:
-    """Check f(q0)^(1/p - 1/r) = f(p)^(1/q0 - 1/r) * f(r)^(1/p - 1/q0).
-
-    Requires 1 <= p < q0 < r <= inf and strictly positive values; the check
-    runs in log space at 1e-9 relative.
-    """
-    p, q0, r = as_exponent(p), as_exponent(q0), as_exponent(r)
-    if not (p.value < q0.value < r.value):
-        raise ValueError("requires p < q0 < r")
-    vals = (float(f_p), float(f_q0), float(f_r))
-    if min(vals) <= 0.0:
-        raise ValueError("norm values must be positive")
-    tp, tq, tr = p.reciprocal, q0.reciprocal, r.reciprocal
-    lhs = (tp - tr) * math.log(vals[1])
-    rhs = (tq - tr) * math.log(vals[0]) + (tp - tq) * math.log(vals[2])
-    return abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
-
-
 def default_grid() -> tuple[Exponent, ...]:
     """Sorted default exponent grid, closed under duality and anchored.
 
@@ -259,7 +240,7 @@ def _chord_convex(g_values) -> bool:
 
 
 def _unimodal(uppers) -> bool:
-    tol = 1e-9 * max(1.0, max(uppers))
+    tol = 1e-9 * max(uppers)
     m = min(range(len(uppers)), key=uppers.__getitem__)
     head_ok = all(uppers[i] >= uppers[i + 1] - tol for i in range(m))
     tail_ok = all(uppers[i + 1] >= uppers[i] - tol for i in range(m, len(uppers) - 1))

@@ -38,7 +38,6 @@ __all__ = [
     "as_tensor_rank_one",
     "as_unitary_permutation",
     "block_grid_bound",
-    "blocks_pairwise_proportional",
     "circulant_two_norm",
     "classify_circulant_la",
     "column_embed",
@@ -48,7 +47,6 @@ __all__ = [
     "hankel_factor",
     "magic3",
     "magic4",
-    "pad_embed",
     "random_unitary_permutation",
     "row_embed",
     "split_direct_sum",
@@ -331,17 +329,6 @@ def hankel_factor(h: HankelMod) -> tuple[UnitaryPermutation, Circulant]:
 # ---------------------------------------------------------------------------
 # embeddings, direct sums, the block-grid bound
 
-def pad_embed(A, m: int) -> np.ndarray:
-    """Zero-pad A into the top-left corner of an m x m matrix (norm preserving)."""
-    M = as_matrix(A)
-    r, cdim = M.shape
-    if m < max(r, cdim):
-        raise ValueError(f"target size {m} smaller than input {M.shape}")
-    out = np.zeros((m, m), dtype=np.complex128)
-    out[:r, :cdim] = M
-    return out
-
-
 def direct_sum(parts) -> np.ndarray:
     """Block-diagonal matrix with the given square parts on the diagonal."""
     mats = [as_matrix(P) for P in parts]
@@ -388,22 +375,6 @@ def block_grid_bound(block_norms, p) -> float:
     row_form = vec_norm([vec_norm(row, q) for row in G], p)
     col_form = vec_norm([vec_norm(col, p) for col in G.T], q)
     return min(row_form, col_form)
-
-
-def blocks_pairwise_proportional(blocks) -> bool:
-    """Whether every block is a scalar multiple of one common matrix.
-
-    This is the automatically checkable sufficient condition for the
-    one-column and one-row cases of ``block_grid_bound`` to hold with
-    equality (shared maximizer).
-    """
-    mats = [as_matrix(B) for B in blocks]
-    if not mats:
-        raise ValueError("need at least one block")
-    shape = mats[0].shape
-    if any(M.shape != shape for M in mats):
-        return False
-    return _common_multiple(np.stack(mats).reshape(len(mats), -1)) is not None
 
 
 def _common_multiple(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

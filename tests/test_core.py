@@ -12,7 +12,6 @@ from opnorm.core import (
     as_vector,
     dual_exponent,
     norm_equivalence_factor,
-    pairing,
     vec_norm,
 )
 
@@ -129,25 +128,14 @@ def test_vec_norm_monotone_in_p():
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_pairing_frozen_and_hoelder():
-    assert pairing([1, 2], [3, 4j]) == 3 - 8j  # sum x_i conj(y_i)
-    rng = np.random.default_rng(5)
-    for p in (1.0, 1.5, 2.0, 4.0, INF):
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert abs(pairing(x, y)) <= vec_norm(x, p) * vec_norm(y, dual_exponent(p)) * (1 + 1e-12)
-    with pytest.raises(ValueError):
-        pairing([1, 2], [1, 2, 3])
-
-
 def test_adjoint_involution_and_pairing_identity():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     assert np.array_equal(adjoint(adjoint(A)), as_matrix(A))
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    lhs = pairing(as_matrix(A) @ x, y)
-    rhs = pairing(x, adjoint(A) @ y)
+    lhs = np.vdot(y, as_matrix(A) @ x)  # <A x, y>, conjugate in the second slot
+    rhs = np.vdot(adjoint(A) @ y, x)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -14,7 +14,6 @@ from opnorm.interp import (
     la_envelope,
     profile,
     riesz_thorin_bound,
-    three_point_log_affinity,
     upper_bound,
     upper_bound_from_anchors,
 )
@@ -92,17 +91,6 @@ def test_self_adjoint_tag():
     assert est.provenance in ("self-adjoint", "riesz-thorin", "two-norm-scaled")
     # self-adjoint profile is symmetric under p <-> q, so both sides agree
     assert upper_bound(H, 4).value == pytest.approx(upper_bound(H, 4 / 3).value, rel=1e-12)
-
-
-def test_three_point_log_affinity():
-    a = anchor_norms([[1, 1], [0, 0]])
-    vals = [la_envelope(a, p) for p in (1, 2, INF)]
-    assert three_point_log_affinity(vals[0], vals[1], vals[2], 1, 2, INF)
-    assert not three_point_log_affinity(10.0, 9.0, 10.0, 1, 2, INF)
-    with pytest.raises(ValueError):
-        three_point_log_affinity(1.0, 1.0, 1.0, 2, 2, INF)
-    with pytest.raises(ValueError):
-        three_point_log_affinity(0.0, 1.0, 1.0, 1, 2, INF)
 
 
 def test_default_grid_shape():

@@ -11,9 +11,10 @@ import pytest
 from conftest import random_complex
 
 from opnorm.core import INF
-from opnorm.estimator import analyze, certified_bound
+from opnorm.estimator import CertificateError, analyze, certified_bound, eigen_lower_bound
 from opnorm.exact import AnchorNorms
-from opnorm.structured import Circulant, densify, magic3
+from opnorm.interp import _unimodal, profile
+from opnorm.structured import Circulant, UnitaryPermutation, densify, magic3
 
 _SCALES = (1e-300, 1e-150, 1e-13, 1.0, 1e150, 1e300)
 
@@ -74,3 +75,33 @@ def test_anchor_midpoint_at_extreme_scales():
     for v in (1e-200, 1e-160, 1e160, 1e200):
         assert AnchorNorms(v, v, v).geometric_midpoint == pytest.approx(v, rel=1e-15)
     assert AnchorNorms(15.0, 15.0, 15.0).geometric_midpoint == 15.0
+
+
+@pytest.mark.parametrize("s", [1e-310, 1e-150, 1.0, 1e300])
+def test_eigen_certificate_residual_is_relative(s):
+    identity = UnitaryPermutation((0, 1), np.ones(2))
+    assert eigen_lower_bound(s * np.eye(2), [1.0, 0.0], identity, s) == s
+    with pytest.raises(CertificateError):
+        eigen_lower_bound(s * np.eye(2), [1.0, 0.0], identity, 2.0 * s)
+    c = np.array([1.0, 2.0, 1j])
+    w = np.exp(2j * np.pi / 3) ** np.arange(3)
+    lam = s * complex((c * w).sum())
+    shift = UnitaryPermutation((0, 1, 2), np.ones(3))
+    C = densify(Circulant(s * c))
+    assert eigen_lower_bound(C, w, shift, lam) == pytest.approx(abs(lam), rel=1e-12)
+    with pytest.raises(CertificateError):
+        eigen_lower_bound(C, w, shift, 1.5 * lam)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-150, 1e-12, 1.0, 1e150, 1e300])
+def test_unimodal_verdict_follows_no_scale(s):
+    assert not _unimodal([s * v for v in (1.0, 2.0, 1.0, 2.0)])
+    assert _unimodal([s * v for v in (3.0, 2.0, 1.0, 1.0, 2.0)])
+
+
+@pytest.mark.parametrize("name", ["complex", "nonnegative", "magic3", "aligned-circulant"])
+def test_scaled_profile_keeps_unimodal_verdict(name):
+    A = _inputs()[name]
+    want = profile(A).unimodal
+    for s in _SCALES:
+        assert profile(s * A).unimodal == want

@@ -18,7 +18,6 @@ from opnorm.structured import (
     as_tensor_rank_one,
     as_unitary_permutation,
     block_grid_bound,
-    blocks_pairwise_proportional,
     circulant_two_norm,
     classify_circulant_la,
     column_embed,
@@ -28,7 +27,6 @@ from opnorm.structured import (
     hankel_factor,
     magic3,
     magic4,
-    pad_embed,
     random_unitary_permutation,
     row_embed,
     split_direct_sum,
@@ -191,14 +189,13 @@ def test_direct_sum_certifies_the_max_over_its_parts():
         assert b.upper == max(s.upper for s in sub)
 
 
-def test_pad_embed_preserves_norm():
+def test_direct_sum_with_zero_block_keeps_the_norm():
     rng = np.random.default_rng(44)
     A = random_complex(rng, 3, 3)
-    P = pad_embed(A, 5)
+    P = direct_sum([A, np.zeros((2, 2))])
     assert P.shape == (5, 5)
-    assert norm_two(P) == pytest.approx(norm_two(A), rel=1e-12)
-    with pytest.raises(ValueError):
-        pad_embed(A, 2)
+    for p in (1.0, 1.5, 2.0, 3.0, INF):
+        assert certified_bound(P, p) == certified_bound(A, p)
 
 
 def test_block_bounds_dominate_norm():
@@ -217,10 +214,14 @@ def test_block_bounds_dominate_norm():
         block_grid_bound([[1.0, -1.0]], 2)
 
 
-def test_blocks_pairwise_proportional():
+def test_tensor_rank_one_needs_proportional_blocks():
     core = np.array([[1.0, 2.0], [0.0, 1.0]])
-    assert blocks_pairwise_proportional([core, 2 * core, (1 + 1j) * core])
-    assert not blocks_pairwise_proportional([core, core + np.eye(2) * 1e-3])
+    # first block column: core, 2 core, (1+1j) core
+    M = np.kron(np.outer([1.0, 2.0, 1 + 1j], [1.0, 0.5, -1.0]), core)
+    t = as_tensor_rank_one(M)
+    assert t is not None and np.allclose(densify(t), M, rtol=0.0, atol=1e-12)
+    M[2:4, 0:2] = core + np.eye(2) * 1e-3
+    assert as_tensor_rank_one(M) is None
 
 
 def test_embeds():
