@@ -296,21 +296,21 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,
                      extra=()) -> tuple[float, str]:
     """Largest available certified lower bound with its provenance tag.
 
-    Candidates: the exact anchor at p in {1, 2, inf}, the caller's ``extra``
-    (value, tag) pairs, and the ascent.
+    At p in {1, 2, inf} with ``anchors`` given, the anchor is the norm itself
+    (attained, like every candidate), so it is returned as "anchor" with no
+    ascent.  Otherwise the candidates are the caller's ``extra`` (value, tag)
+    pairs and the ascent.
     """
     M = as_matrix(A)
     p = as_exponent(p)
-    cands: list[tuple[float, str]] = []
     if anchors is not None:
         if p.value == 1.0:
-            cands.append((anchors.n1, "anchor"))
-        elif p.value == 2.0:
-            cands.append((anchors.n2, "anchor"))
-        elif p.is_inf:
-            cands.append((anchors.ninf, "anchor"))
-    cands.extend(extra)
-    cands.append((ascent_lower_bound(M, p, seed=seed).value, "boyd"))
+            return anchors.n1, "anchor"
+        if p.value == 2.0:
+            return anchors.n2, "anchor"
+        if p.is_inf:
+            return anchors.ninf, "anchor"
+    cands = [*extra, (ascent_lower_bound(M, p, seed=seed).value, "boyd")]
     return max(cands, key=lambda c: c[0])  # the earliest candidate wins a tie
 
 
@@ -451,7 +451,7 @@ class Analysis:
 
     @cached_property
     def anchors(self) -> AnchorNorms:
-        """Exact norms at p = 1, 2, inf; the Jacobi two-norm runs only for
+        """Exact norms at p = 1, 2, inf; the squaring two-norm runs only for
         "log-affine" and "general", every other rule gives them exactly."""
         if self.own_anchors is not None:
             return self.own_anchors

@@ -73,7 +73,7 @@ def test_classify_reads_the_analysis(magic_path, monkeypatch, capsys):
     monkeypatch.setattr(opnorm.exact, "norm_two", lambda M: calls.append(1) or norm_two(M))
     assert main(["classify", magic_path]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert calls == []  # the balanced rule pins every anchor without Jacobi
+    assert calls == []  # the balanced rule pins every anchor without norm_two
     assert doc["rule"] == "balanced"
     assert doc["anchors"] == {"one": 15.0, "two": 15.0, "inf": 15.0}
     assert doc["doubly_balanced"] and doc["alpha"] == 15.0
