@@ -7,6 +7,10 @@ returned value is always recomputed from the returned maximizer, so it is a
 true attained lower bound regardless of convergence.  All starts run as the
 columns of one n x k block, one matmul per side and step, each column
 freezing on its own stopping test; there is no early stop across starts.
+Each side of a step takes one modulus, one column maximum and one
+fractional power, which give both the column norms and the next direction.
+The seeded random starts are built once per (n, count, seed) and cached as
+a read-only block.
 For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
 exponent >= 2.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,14 +146,33 @@ def _col_pnorms(Y: np.ndarray, p: Exponent) -> np.ndarray:
     return top * s ** (1.0 / p.value)
 
 
-def _dual_direction(Z: np.ndarray, r: float) -> np.ndarray:
-    """Direction of Phi_r(z) = |z|^(r-1) sign(z) for every column z of Z,
-    scaled by the column's largest modulus to avoid overflow; zero columns
-    stay zero."""
+def _image_step(Y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column r-norms of Y and Phi_r(y) / max|y|^(r-1) for every column y,
+    for r >= 2, from one modulus and one power.
+
+    With s = |y| / max|y| and u = s^(r-2), the norm is
+    max|y| * (sum u s s)^(1/r) and the direction is y u / max|y|.
+    """
+    a = np.abs(Y)
+    top = a.max(axis=0)
+    scale = np.maximum(top, _TINY)
+    s = a / scale
+    u = s ** (r - 2.0)
+    return top * (u * s * s).sum(axis=0) ** (1.0 / r), Y * (u / scale)
+
+
+def _preimage_step(Z: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_q(z) / max|z|^(q-1) for every column z, and its r-norm, where
+    r = q / (q - 1), from one modulus and one power.
+
+    With s = |z| / max|z| and v = s^(q-1), the direction is z v / |z| (zero
+    where z is zero) and its r-norm is (sum v s)^(1/r), since (q - 1) r = q.
+    """
     a = np.abs(Z)
-    scaled = a / np.maximum(a.max(axis=0), _TINY)
-    sign = np.divide(Z, a, out=np.zeros(Z.shape, dtype=Z.dtype), where=a > 0.0)
-    return scaled ** (r - 1.0) * sign
+    s = a / np.maximum(a.max(axis=0), _TINY)
+    v = s ** (q - 1.0)
+    w = np.divide(v, a, out=np.zeros(a.shape), where=a > 0.0)
+    return (v * s).sum(axis=0) ** ((q - 1.0) / q), Z * w
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
@@ -164,13 +187,32 @@ _ASCENT_MAX_ITER = 500
 _ASCENT_GAIN_TOL = 1e-12
 
 
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    return int(seed)
+
+
+@lru_cache(maxsize=64)  # bounded: one small block per (n, count, seed)
+def _random_starts(n: int, count: int, seed: int) -> np.ndarray:
+    """Read-only n x count block whose column k is drawn from
+    ``default_rng([seed, k])``: standard normal real, then imaginary part."""
+    block = np.empty((n, count), dtype=np.complex128)
+    for k in range(count):
+        rng = np.random.default_rng([seed, k])
+        block[:, k] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    block.flags.writeable = False
+    return block
+
+
 def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int, seed: int) -> np.ndarray:
     """Start vectors as the columns of one n x k block.
 
     Deterministic: the ones vector, the unit vector of the largest-r-norm
     column, and — for real matrices of size <= 4 — one seed per sign orthant,
     since a real matrix attains its norm at a real vector and the ascent
-    rarely crosses orthants.  Then restarts-2 seeded complex random starts.
+    rarely crosses orthants.  Then the restarts-2 seeded complex random
+    starts of ``_random_starts``.
     """
     n = M.shape[1]
     starts = [np.ones(n, dtype=np.complex128)]
@@ -182,9 +224,7 @@ def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int, seed: int) -> np.n
             for bits in range(1, 2 ** (n - 1)):  # skip all-plus: already seeded
                 signs = [1.0] + [-1.0 if bits >> k & 1 else 1.0 for k in range(n - 1)]
                 starts.append(np.array(signs, dtype=np.complex128))
-        for k in range(restarts - 2):
-            rng = np.random.default_rng([seed, k])
-            starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return np.hstack([np.stack(starts, axis=1), _random_starts(n, restarts - 2, seed)])
     return np.stack(starts, axis=1)
 
 
@@ -192,11 +232,12 @@ def _block_ascent(M: np.ndarray, r: Exponent, X: np.ndarray) -> AscentResult:
     """Run the ascent from every column of X at once; the first column with
     the largest final objective wins.
 
-    Each step is X <- Phi_q(M* Phi_r(M X)) with per-column normalisation.  A
-    column freezes when its objective is zero, gains less than 1e-12
-    relative, or its next direction is zero; the others go on, up to 500
-    steps.  An overflow in either product makes a column norm nonfinite,
-    which raises ValueError.
+    Each step is X <- Phi_q(M* Phi_r(M X)) with per-column normalisation;
+    each side takes one modulus, one column maximum and one power
+    (``_image_step``, ``_preimage_step``).  A column freezes when its
+    objective is zero, gains less than 1e-12 relative, or its next direction
+    is zero; the others go on, up to 500 steps.  An overflow in either
+    product makes a column norm nonfinite, which raises ValueError.
     """
     rv = r.value
     qv = dual_exponent(r).value
@@ -211,15 +252,13 @@ def _block_ascent(M: np.ndarray, r: Exponent, X: np.ndarray) -> AscentResult:
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports both
         for step in range(_ASCENT_MAX_ITER):
-            Y = M @ Xl
-            obj = _finite(_col_pnorms(Y, r))
-            objs[step, live] = obj
+            obj, D = _image_step(M @ Xl, rv)
+            objs[step, live] = _finite(obj)
             done = obj == 0.0
             if prev is not None:
                 done |= obj - prev <= _ASCENT_GAIN_TOL * prev
-            Xn = _dual_direction(Mh @ _dual_direction(Y, rv), qv)
-            nrm = _finite(_col_pnorms(Xn, r))
-            stop = done | (nrm == 0.0)
+            nrm, Xn = _preimage_step(Mh @ D, qv)
+            stop = done | (_finite(nrm) == 0.0)
             if stop.any():
                 iters[live[stop]] = step + 1
                 converged[live[done]] = True
@@ -258,6 +297,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
         raise ValueError("ascent_lower_bound requires a square matrix")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    seed = _check_seed(seed)
     p = as_exponent(p)
     n = M.shape[0]
 
@@ -268,7 +308,9 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
         return AscentResult(value, x, 0, True, (value,))
     if p.is_inf:
         value, i = norm_inf_attained(M)
-        x = _dual_direction(np.conj(M[i, :, None]), 1.0)[:, 0]  # the phases of row i
+        row = np.conj(M[i])
+        mod = np.abs(row)
+        x = np.divide(row, mod, out=np.zeros(n, dtype=np.complex128), where=mod > 0.0)
         if not np.any(x):
             x = np.zeros(n, dtype=np.complex128)
             x[0] = 1.0
@@ -283,7 +325,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
 
     # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at least
     # the dual objective, by the Hoelder equality of the duality map
-    xi = _dual_direction((work @ best.maximizer)[:, None], r.value)[:, 0]
+    xi = _image_step((work @ best.maximizer)[:, None], r.value)[1][:, 0]
     if not np.any(xi):
         xi = np.ones(n, dtype=np.complex128)
     xi = xi / vec_norm(xi, p)
@@ -303,6 +345,7 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,
     """
     M = as_matrix(A)
     p = as_exponent(p)
+    seed = _check_seed(seed)
     if anchors is not None:
         if p.value == 1.0:
             return anchors.n1, "anchor"
@@ -469,8 +512,10 @@ class Analysis:
         return _is_self_adjoint(self.matrix)
 
     def bound(self, p, seed: int = 0) -> NormBound:
-        """Certified interval at one exponent; ``seed`` drives the ascent."""
+        """Certified interval at one exponent; ``seed``, a nonnegative
+        integer, drives the ascent."""
         p = as_exponent(p)
+        seed = _check_seed(seed)
         rule, anchors = self.rule, self.own_anchors
         if rule in _EXACT_TAGS:
             v = la_envelope(anchors, p) if rule == "log-affine" else anchors.n1

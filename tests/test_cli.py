@@ -43,6 +43,13 @@ def test_bounds_rejects_bad_exponent(magic_path):
         assert "error:" in r.stderr
 
 
+@pytest.mark.parametrize("cmd", [["bounds", "--p", "3"], ["bounds", "--p", "1,inf"], ["profile"]])
+def test_bad_seed_exits_2_before_any_output(magic_path, cmd, capsys):
+    assert main([cmd[0], magic_path, *cmd[1:], "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "seed must be a nonnegative integer" in err
+
+
 def test_bounds_runs_jacobi_once_for_all_exponents(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a.json"
     write_matrix(path, np.random.default_rng(61).standard_normal((6, 6)))

@@ -10,6 +10,7 @@ from opnorm.core import INF, as_exponent, as_matrix, dual_exponent, vec_norm
 from opnorm.estimator import (
     CertificateError,
     _ascent_starts,
+    _random_starts,
     ascent_lower_bound,
     best_lower_bound,
     certified_bound,
@@ -107,12 +108,54 @@ def _loop_ascent(M, p, x):
 
 def test_block_ascent_matches_a_loop_over_its_starts():
     rng = np.random.default_rng(57)
-    for n in (3, 5, 8):
-        for A in (rng.standard_normal((n, n)), random_complex(rng, n, n)):
-            for p in (2.5, 4.0):
-                starts = _ascent_starts(as_matrix(A), as_exponent(p), 8, 0)
-                want = max(_loop_ascent(A, p, x) for x in starts.T)
-                assert ascent_lower_bound(A, p).value == pytest.approx(want, rel=1e-9)
+    holes = rng.standard_normal((6, 6))
+    holes[2, :] = 0.0  # iterates M x get an exact zero entry
+    holes[:, 4] = 0.0  # and so do M* d, the |z| = 0 branch
+    cases = [A for n in (3, 5, 8) for A in (rng.standard_normal((n, n)), random_complex(rng, n, n))]
+    for A in [*cases, holes, holes * (1.0 - 0.5j)]:
+        for p in (2.0, 2.5, 4.0, 8.0):
+            starts = _ascent_starts(as_matrix(A), as_exponent(p), 8, 0)
+            want = max(_loop_ascent(A, p, x) for x in starts.T)
+            assert ascent_lower_bound(A, p).value == pytest.approx(want, rel=1e-12)
+
+
+def test_random_starts_are_cached_fresh_draws():
+    for n, count, seed in ((4, 6, 0), (9, 3, 7), (5, 0, 1)):
+        block = _random_starts(n, count, seed)
+        assert block.shape == (n, count) and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        for k in range(count):
+            rng = np.random.default_rng([seed, k])
+            fresh = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.array_equal(block[:, k], fresh)
+        assert _random_starts(n, count, seed) is block
+
+
+def test_ascent_repeats_bit_for_bit_and_owns_its_maximizer():
+    rng = np.random.default_rng(59)
+    for A, p in ((random_complex(rng, 7, 7), 3.0), (rng.standard_normal((5, 5)), 1.4)):
+        first = ascent_lower_bound(A, p, seed=3)
+        kept = first.maximizer.copy()
+        first.maximizer[:] = 0.0
+        again = ascent_lower_bound(A, p, seed=3)
+        assert np.array_equal(again.maximizer, kept)
+        assert (again.value, again.iterations, again.converged, again.objective_trace) == (
+            first.value, first.iterations, first.converged, first.objective_trace)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", True, None])
+def test_bad_seed_fails_at_every_exponent(seed):
+    A = random_complex(np.random.default_rng(60), 4, 4)
+    analysis = estimator.analyze(A)
+    for p in (1.0, 1.5, 2.0, 3.0, INF):
+        for call in (lambda: certified_bound(A, p, seed=seed),
+                     lambda: analysis.bound(p, seed=seed),
+                     lambda: ascent_lower_bound(A, p, seed=seed),
+                     lambda: best_lower_bound(A, p, seed=seed, anchors=analysis.anchors)):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                call()
+    assert certified_bound(A, 3.0, seed=np.int64(2)) == certified_bound(A, 3.0, seed=2)
 
 
 def test_ascent_capped_columns_report_their_last_step(monkeypatch):
