@@ -11,6 +11,7 @@ from .core import (
     adjoint,
     as_exponent,
     as_matrix,
+    as_square,
     as_vector,
     dual_exponent,
     norm_equivalence_factor,
@@ -31,7 +32,6 @@ from .estimator import (
 from .exact import (
     AnchorNorms,
     anchor_norms,
-    is_p_isometry,
     norm_inf,
     norm_inf_attained,
     norm_one,

@@ -5,7 +5,8 @@ All numerical values flow through numpy complex128 arrays.  ``as_vector`` and
 copies, so constructed values behave as immutable and every operation here is
 a pure function.  ``as_matrix`` hands an array it returned back as is, so a
 matrix passed down through the recognizers, anchors and ascent is validated
-once.  ``Exponent`` keeps p = inf exact (no large-float stand-in),
+once; ``as_square`` adds the one square-shape check every n x n entry point
+uses.  ``Exponent`` keeps p = inf exact (no large-float stand-in),
 which makes the endpoint identities dual(1) = inf and dual(inf) = 1 hold
 without rounding.
 """
@@ -25,6 +26,7 @@ __all__ = [
     "adjoint",
     "as_exponent",
     "as_matrix",
+    "as_square",
     "as_vector",
     "dual_exponent",
     "norm_equivalence_factor",
@@ -33,10 +35,6 @@ __all__ = [
 
 #: Default relative tolerance for scalar identities throughout the package.
 REL_TOL = 1e-12
-
-# Finite exponents above this threshold fall back to the max-norm formula
-# whenever the two are indistinguishable at REL_TOL (n^(1/p) - 1 < REL_TOL).
-_LARGE_P = 1e6
 
 
 @dataclass(frozen=True, order=True)
@@ -63,10 +61,6 @@ class Exponent:
         if self.value == 1.0:
             return 1.0
         return 1.0 / self.value
-
-    def dual(self) -> "Exponent":
-        """Hoelder conjugate q with 1/p + 1/q = 1."""
-        return dual_exponent(self)
 
     def __str__(self) -> str:
         if self.is_inf:
@@ -143,6 +137,21 @@ def as_matrix(entries) -> np.ndarray:
     return arr
 
 
+def as_square(entries) -> np.ndarray:
+    """``as_matrix`` for an n x n matrix; ValueError for any other shape."""
+    M = as_matrix(entries)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got {M.shape[0]}x{M.shape[1]}")
+    return M
+
+
+def _check_seed(seed) -> int:
+    """A seed as an int; ValueError unless it is a nonnegative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    return int(seed)
+
+
 def vec_norm(xi, p) -> float:
     """Vector p-norm: (sum |x_i|^p)^(1/p) for finite p, max |x_i| at p = inf.
 
@@ -163,9 +172,6 @@ def vec_norm(xi, p) -> float:
     if pv == 2.0:
         r = a / top
         return top * float(np.sqrt(np.sum(r * r)))
-    if pv > _LARGE_P and x.size ** (1.0 / pv) - 1.0 < REL_TOL:
-        # indistinguishable from the max-norm at working precision
-        return top
     s = float(np.sum((a / top) ** pv))
     return top * s ** (1.0 / pv)
 

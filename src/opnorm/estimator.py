@@ -34,9 +34,11 @@ import numpy as np
 from .core import (
     INF,
     Exponent,
+    _check_seed,
     adjoint,
     as_exponent,
     as_matrix,
+    as_square,
     as_vector,
     dual_exponent,
     vec_norm,
@@ -134,6 +136,9 @@ def eigen_lower_bound(A, xi, S, lam) -> float:
 #: Smallest positive double.  ``np.maximum(top, _TINY)`` keeps every nonzero
 #: column maximum and makes a zero one a divisor that maps its column to zeros.
 _TINY = 5e-324
+#: Smallest normal double: a divisor clamped to it keeps every reciprocal
+#: finite, and leaves every normal modulus as it is.
+_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 def _col_pnorms(Y: np.ndarray, p: Exponent) -> np.ndarray:
@@ -167,12 +172,14 @@ def _preimage_step(Z: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
 
     With s = |z| / max|z| and v = s^(q-1), the direction is z v / |z| (zero
     where z is zero) and its r-norm is (sum v s)^(1/r), since (q - 1) r = q.
+    The divisor |z| is clamped to the smallest normal double: for q near 1,
+    v / |z| would overflow at a subnormal z.  A zero z has v = 0, so its
+    entry stays zero.
     """
     a = np.abs(Z)
     s = a / np.maximum(a.max(axis=0), _TINY)
     v = s ** (q - 1.0)
-    w = np.divide(v, a, out=np.zeros(a.shape), where=a > 0.0)
-    return (v * s).sum(axis=0) ** ((q - 1.0) / q), Z * w
+    return (v * s).sum(axis=0) ** ((q - 1.0) / q), Z * (v / np.maximum(a, _NORMAL))
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
@@ -185,12 +192,6 @@ def _finite(v: np.ndarray) -> np.ndarray:
 #: below which the column counts as converged.
 _ASCENT_MAX_ITER = 500
 _ASCENT_GAIN_TOL = 1e-12
-
-
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    return int(seed)
 
 
 @lru_cache(maxsize=64)  # bounded: one small block per (n, count, seed)
@@ -253,12 +254,13 @@ def _block_ascent(M: np.ndarray, r: Exponent, X: np.ndarray) -> AscentResult:
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports both
         for step in range(_ASCENT_MAX_ITER):
             obj, D = _image_step(M @ Xl, rv)
-            objs[step, live] = _finite(obj)
+            nrm, Xn = _preimage_step(Mh @ D, qv)
+            _finite(obj + nrm)  # one check for both: 0 <= nrm <= n
+            objs[step, live] = obj
             done = obj == 0.0
             if prev is not None:
                 done |= obj - prev <= _ASCENT_GAIN_TOL * prev
-            nrm, Xn = _preimage_step(Mh @ D, qv)
-            stop = done | (_finite(nrm) == 0.0)
+            stop = done | (nrm == 0.0)
             if stop.any():
                 iters[live[stop]] = step + 1
                 converged[live[done]] = True
@@ -292,9 +294,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
     to its own stop; there is no early stop across starts.  At p in {1, inf}
     the exact attaining coordinate formulas are used directly.
     """
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("ascent_lower_bound requires a square matrix")
+    M = as_square(A)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     seed = _check_seed(seed)
@@ -552,9 +552,7 @@ def analyze(A) -> Analysis:
     rank-one block tensors (vector-norm factor times the core), and the
     anchor equality test that certifies the log-affine envelope.
     """
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("analyze requires a square matrix")
+    M = as_square(A)
 
     if M.shape[0] == 1:
         v = abs(complex(M[0, 0]))

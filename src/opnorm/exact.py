@@ -5,8 +5,9 @@ sums.  The p = 2 norm is the largest singular value: repeated squaring of the
 (scaled) Gram matrix A*A gives a top right singular vector x, and the value
 returned is ||A x||_2 / ||x||_2, attained by that vector.  Matmuls only, no
 LAPACK; the achieved relative accuracy sits well inside the 1e-10 contract.
-``is_p_isometry`` recognises phased permutation matrices, which preserve
-every p-norm.
+``anchor_norms`` collects the three values of a square matrix.  Phased
+permutations, which keep every p-norm, are recognised in ``structured``
+(``as_unitary_permutation``), not here.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REL_TOL, as_exponent, as_matrix, vec_norm
-from .structured import as_unitary_permutation
+from .core import as_matrix, as_square
 
 __all__ = [
     "AnchorNorms",
     "anchor_norms",
-    "is_p_isometry",
     "norm_inf",
     "norm_inf_attained",
     "norm_one",
@@ -124,9 +123,7 @@ def norm_two(A) -> float:
     Gram matrix that ``_top_direction`` returns, so a vector attains it even
     where the squaring stopped at its cap.
     """
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("norm_two requires a square matrix")
+    M = as_square(A)
     if not M.imag.any():
         M = M.real
     top = float(np.abs(M).max())
@@ -139,32 +136,6 @@ def norm_two(A) -> float:
 
 def anchor_norms(A) -> AnchorNorms:
     """All three anchor norms of a square matrix, via the operations above."""
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("anchor_norms requires a square matrix")
+    M = as_square(A)
     return AnchorNorms(norm_one(M), norm_two(M), norm_inf(M))
 
-
-def is_p_isometry(S, p, trials: int = 8, seed: int = 0) -> bool:
-    """Whether S is a phased permutation: one unimodular entry per row/column.
-
-    These are exactly the matrices preserving the p-norm of every vector for
-    p != 2; the same structural test (``as_unitary_permutation``) is applied
-    at p = 2, so unitaries that are not phased permutations are rejected
-    there as well.  After the structural pass, ``trials`` seeded random
-    vectors self-check norm preservation at the given p to REL_TOL.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    p = as_exponent(p)
-    M = as_matrix(S)
-    if as_unitary_permutation(M) is None:
-        return False
-    rng = np.random.default_rng(seed)
-    n = M.shape[0]
-    for _ in range(trials):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ref = vec_norm(x, p)
-        if abs(vec_norm(M @ x, p) - ref) > REL_TOL * ref:
-            return False
-    return True

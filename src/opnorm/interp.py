@@ -176,7 +176,6 @@ class LogAffineReport:
     """
 
     is_la: bool
-    anchors: AnchorNorms
     ratio: float
     degenerate: bool = False
 
@@ -187,9 +186,9 @@ class LogAffineReport:
 def la_report_from_anchors(anchors: AnchorNorms) -> LogAffineReport:
     mid = anchors.geometric_midpoint
     if mid == 0.0:
-        return LogAffineReport(True, anchors, 1.0, degenerate=True)
+        return LogAffineReport(True, 1.0, degenerate=True)
     ratio = anchors.n2 / mid
-    return LogAffineReport(ratio >= 1.0 - _LA_RATIO_TOL, anchors, ratio)
+    return LogAffineReport(ratio >= 1.0 - _LA_RATIO_TOL, ratio)
 
 
 def is_log_affine(A) -> LogAffineReport:

@@ -9,7 +9,6 @@ real like ``-1.5``, or ``a+bi`` / ``a-bi`` with a lowercase ``i``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .core import as_matrix
 
 __all__ = [
-    "MatrixFile",
     "MatrixParseError",
     "format_complex_token",
     "parse_complex_token",
@@ -28,12 +26,6 @@ __all__ = [
 
 class MatrixParseError(ValueError):
     """A matrix file failed to parse or validate."""
-
-
-@dataclass(frozen=True)
-class MatrixFile:
-    format: str  # "json" or "csv"
-    matrix: np.ndarray
 
 
 def parse_complex_token(tok: str) -> complex:
@@ -56,14 +48,14 @@ def format_complex_token(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def _validated(M: np.ndarray, fmt: str) -> MatrixFile:
+def _validated(M: np.ndarray) -> np.ndarray:
     try:
-        return MatrixFile(fmt, as_matrix(M))
+        return as_matrix(M)
     except ValueError as exc:
         raise MatrixParseError(str(exc)) from exc
 
 
-def _read_json(text: str) -> MatrixFile:
+def _read_json(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -86,10 +78,10 @@ def _read_json(text: str) -> MatrixFile:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)):
             raise MatrixParseError(f"entry {k} must be a [re, im] number pair")
         flat[k] = complex(e[0], e[1])
-    return _validated(flat.reshape(rows, cols), "json")
+    return _validated(flat.reshape(rows, cols))
 
 
-def _read_csv(text: str) -> MatrixFile:
+def _read_csv(text: str) -> np.ndarray:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -103,11 +95,12 @@ def _read_csv(text: str) -> MatrixFile:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise MatrixParseError("rows have inconsistent lengths")
-    return _validated(np.array(rows, dtype=np.complex128), "csv")
+    return _validated(np.array(rows, dtype=np.complex128))
 
 
-def read_matrix(path) -> MatrixFile:
-    """Read a matrix file; format from the suffix, else sniffed from content."""
+def read_matrix(path) -> np.ndarray:
+    """Read a matrix file into a validated read-only array (``as_matrix``);
+    the format comes from the suffix, else it is sniffed from the content."""
     p = Path(path)
     text = p.read_text()
     suffix = p.suffix.lower()
@@ -120,18 +113,14 @@ def read_matrix(path) -> MatrixFile:
     return _read_csv(text)
 
 
-def write_matrix(path, A, fmt: str | None = None) -> None:
-    """Write a matrix as JSON or CSV (format from the suffix when omitted)."""
+def write_matrix(path, A) -> None:
+    """Write a matrix as JSON when the suffix is ``.json``, else as CSV."""
     M = as_matrix(A)
     p = Path(path)
-    if fmt is None:
-        fmt = "json" if p.suffix.lower() == ".json" else "csv"
-    if fmt == "json":
+    if p.suffix.lower() == ".json":
         n, m = M.shape
         entries = [[float(z.real), float(z.imag)] for z in M.ravel()]
         p.write_text(json.dumps({"rows": n, "cols": m, "entries": entries}) + "\n")
-    elif fmt == "csv":
+    else:
         lines = [",".join(format_complex_token(z) for z in row) for row in M]
         p.write_text("\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown matrix format {fmt!r}")

@@ -9,7 +9,8 @@ Conventions (all indices 0-based, cyclic arithmetic mod n):
   coefficient polynomial evaluated at the n-th roots of unity.
 * ``HankelMod``: dense entry (i, j) is coeffs[(i + j) mod n]; it factors as
   a phase-free unitary permutation times the circulant with the same
-  coefficients, so the two share every operator p-norm.
+  coefficients, so the two share every operator p-norm.  The two layouts
+  differ only in the sign of i, and share one index map and one recognizer.
 * ``TensorRankOne``: block (i, j) is alpha[i] * conj(beta[j]) * core; its
   p-norm is ||alpha||_p * ||beta||_q * ||core||_p with q the dual exponent.
 
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .core import REL_TOL, as_exponent, as_matrix, as_vector, dual_exponent, vec_norm
+from .core import (REL_TOL, _check_seed, as_exponent, as_matrix, as_square, as_vector,
+                   dual_exponent, vec_norm)
 
 __all__ = [
     "Circulant",
@@ -89,10 +92,12 @@ class UnitaryPermutation:
 
 
 @dataclass(frozen=True, eq=False)
-class Circulant:
-    """Coefficients (a_0 .. a_{n-1}) of sum_i a_i S^i, S the cyclic shift."""
+class _CyclicLayout:
+    """Coefficients laid out cyclically: dense entry (i, j) is
+    coeffs[(j + sign * i) mod n], with the sign fixed by the subclass."""
 
     coeffs: np.ndarray
+    _sign: ClassVar[int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", as_vector(self.coeffs))
@@ -101,29 +106,28 @@ class Circulant:
     def n(self) -> int:
         return self.coeffs.size
 
+    @classmethod
+    def _index(cls, n: int) -> np.ndarray:
+        """n x n array of the coefficient index at each dense entry."""
+        return (np.arange(n)[None, :] + cls._sign * np.arange(n)[:, None]) % n
+
     def dense(self) -> np.ndarray:
-        n = self.n
-        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return np.ascontiguousarray(self.coeffs[idx])
+        return np.ascontiguousarray(self.coeffs[self._index(self.n)])
 
 
 @dataclass(frozen=True, eq=False)
-class HankelMod:
+class Circulant(_CyclicLayout):
+    """Coefficients (a_0 .. a_{n-1}) of sum_i a_i S^i, S the cyclic shift:
+    dense entry (i, j) is coeffs[(j - i) mod n]."""
+
+    _sign = -1
+
+
+@dataclass(frozen=True, eq=False)
+class HankelMod(_CyclicLayout):
     """Cyclic Hankel form: dense entry (i, j) is coeffs[(i + j) mod n]."""
 
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", as_vector(self.coeffs))
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.size
-
-    def dense(self) -> np.ndarray:
-        n = self.n
-        idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-        return np.ascontiguousarray(self.coeffs[idx])
+    _sign = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +143,7 @@ class TensorRankOne:
         b = as_vector(self.beta)
         if a.size != b.size:
             raise ValueError("alpha and beta must have the same length")
-        core = as_matrix(self.core)
-        if core.shape[0] != core.shape[1]:
-            raise ValueError("core must be square")
+        core = as_square(self.core)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "core", core)
@@ -186,30 +188,26 @@ def _struct_tol(M: np.ndarray) -> float:
     return REL_TOL * float(np.abs(M).max())
 
 
-def as_circulant(A) -> Circulant | None:
-    """Recognise a circulant from its dense entries; None when not one."""
+def _as_cyclic(A, kind: type[_CyclicLayout]) -> _CyclicLayout | None:
+    """The ``kind`` read off the first row, if every entry matches it."""
     M = as_matrix(A)
     n, m = M.shape
     if n != m:
         return None
     coeffs = M[0, :]
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    if float(np.abs(M - coeffs[idx]).max()) <= _struct_tol(M):
-        return Circulant(coeffs)
+    if float(np.abs(M - coeffs[kind._index(n)]).max()) <= _struct_tol(M):
+        return kind(coeffs)
     return None
+
+
+def as_circulant(A) -> Circulant | None:
+    """Recognise a circulant from its dense entries; None when not one."""
+    return _as_cyclic(A, Circulant)
 
 
 def as_hankel(A) -> HankelMod | None:
     """Recognise the cyclic Hankel layout from dense entries; None otherwise."""
-    M = as_matrix(A)
-    n, m = M.shape
-    if n != m:
-        return None
-    coeffs = M[0, :]
-    idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    if float(np.abs(M - coeffs[idx]).max()) <= _struct_tol(M):
-        return HankelMod(coeffs)
-    return None
+    return _as_cyclic(A, HankelMod)
 
 
 def as_unitary_permutation(A) -> UnitaryPermutation | None:
@@ -270,9 +268,7 @@ def doubly_balanced_norm(A) -> float | None:
     to 1e-9 relative; the common sum is then the operator norm at every
     exponent.
     """
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("doubly_balanced_norm requires a square matrix")
+    M = as_square(A)
     tol = 1e-12 * float(np.abs(M).max())
     if float(np.abs(M.imag).max()) > tol:
         return None
@@ -331,12 +327,9 @@ def hankel_factor(h: HankelMod) -> tuple[UnitaryPermutation, Circulant]:
 
 def direct_sum(parts) -> np.ndarray:
     """Block-diagonal matrix with the given square parts on the diagonal."""
-    mats = [as_matrix(P) for P in parts]
+    mats = [as_square(P) for P in parts]
     if not mats:
         raise ValueError("direct_sum needs at least one part")
-    for M in mats:
-        if M.shape[0] != M.shape[1]:
-            raise ValueError("direct_sum parts must be square")
     n = sum(M.shape[0] for M in mats)
     out = np.zeros((n, n), dtype=np.complex128)
     at = 0
@@ -349,10 +342,8 @@ def direct_sum(parts) -> np.ndarray:
 
 def split_direct_sum(A) -> list[np.ndarray]:
     """Maximal block-diagonal decomposition along exactly-zero off blocks."""
-    M = as_matrix(A)
-    n, m = M.shape
-    if n != m:
-        raise ValueError("split_direct_sum requires a square matrix")
+    M = as_square(A)
+    n = M.shape[0]
     cuts = [k for k in range(1, n)
             if not M[:k, k:].any() and not M[k:, :k].any()]
     edges = [0, *cuts, n]
@@ -451,10 +442,11 @@ def magic4() -> np.ndarray:
 
 
 def random_unitary_permutation(n: int, seed: int = 0) -> UnitaryPermutation:
-    """Seeded random phased permutation of size n."""
+    """Seeded random phased permutation of size n; ``seed`` must be a
+    nonnegative integer."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     sigma = tuple(int(i) for i in rng.permutation(n))
     phases = np.exp(2j * np.pi * rng.uniform(size=n))
     return UnitaryPermutation(sigma, phases)

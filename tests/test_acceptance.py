@@ -12,11 +12,12 @@ from conftest import random_complex
 
 from opnorm.core import INF, as_exponent, dual_exponent, vec_norm
 from opnorm.estimator import ascent_lower_bound, certified_bound, oracle_norm
-from opnorm.exact import is_p_isometry, norm_inf, norm_one, norm_two
+from opnorm.exact import norm_inf, norm_one, norm_two
 from opnorm.interp import default_grid, profile, upper_bound
 from opnorm.structured import (
     Circulant,
     HankelMod,
+    as_unitary_permutation,
     block_grid_bound,
     circulant_two_norm,
     classify_circulant_la,
@@ -212,7 +213,7 @@ def test_criterion_09_phased_permutations_preserve_norms_detector_strict():
         for trial in range(50):
             S = random_unitary_permutation(int(rng.integers(2, 8)), seed=90 + trial)
             D = densify(S)
-            assert is_p_isometry(D, 1.5)
+            assert as_unitary_permutation(D) is not None
             for _ in range(10):
                 x = random_complex(rng, S.n)
                 for p in (1.0, 1.5, 2.0, 4.0, INF):
@@ -221,7 +222,7 @@ def test_criterion_09_phased_permutations_preserve_norms_detector_strict():
             bad = D.copy()
             i = int(np.argmax(np.abs(bad).sum(axis=1)))
             bad[i, :] *= 1.001
-            assert not is_p_isometry(bad, 1.5)
+            assert as_unitary_permutation(bad) is None
         return True
 
     _criterion(9, "phased permutations preserve every p-norm; detector rejects "

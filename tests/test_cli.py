@@ -50,6 +50,14 @@ def test_bad_seed_exits_2_before_any_output(magic_path, cmd, capsys):
     assert out == "" and "seed must be a nonnegative integer" in err
 
 
+def test_generate_bad_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "u.json"
+    assert main(["generate", "unitary-permutation", "--seed", "-1", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == "error: seed must be a nonnegative integer\n"
+    assert not out.exists()
+
+
 def test_bounds_runs_jacobi_once_for_all_exponents(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a.json"
     write_matrix(path, np.random.default_rng(61).standard_normal((6, 6)))
@@ -119,36 +127,36 @@ def test_generate_circulant_round_trip(tmp_path, fmt):
     out = tmp_path / f"c.{fmt}"
     r = run_cli("generate", "circulant", "--coeffs", "1,2+1i,-3", "--out", str(out))
     assert r.returncode == 0
-    M = read_matrix(out).matrix
+    M = read_matrix(out)
     assert np.array_equal(M, densify(Circulant([1.0, 2.0 + 1.0j, -3.0])))
 
 
 def test_generate_families(tmp_path):
     h = tmp_path / "h.csv"
     assert run_cli("generate", "hankel", "--coeffs", "1,2,3", "--out", str(h)).returncode == 0
-    assert np.array_equal(read_matrix(h).matrix, densify(HankelMod([1.0, 2.0, 3.0])))
+    assert np.array_equal(read_matrix(h), densify(HankelMod([1.0, 2.0, 3.0])))
 
     m4 = tmp_path / "m4.json"
     assert run_cli("generate", "magic4", "--out", str(m4)).returncode == 0
-    assert read_matrix(m4).matrix.shape == (4, 4)
+    assert read_matrix(m4).shape == (4, 4)
 
     t = tmp_path / "t.csv"
     r = run_cli("generate", "tensor", "--alpha", "1,-1", "--beta", "1,2",
                 "--core", "1,3;3,1", "--out", str(t))
     assert r.returncode == 0
-    T = read_matrix(t).matrix
+    T = read_matrix(t)
     assert T.shape == (4, 4) and T[0, 0] == 1.0 and T[3, 3] == -2.0
 
     u = tmp_path / "u.json"
     assert run_cli("generate", "unitary-permutation", "--size", "5",
                    "--seed", "3", "--out", str(u)).returncode == 0
-    U = read_matrix(u).matrix
+    U = read_matrix(u)
     assert np.allclose(np.abs(U @ np.conj(U.T)), np.eye(5), atol=1e-12)
 
     s = tmp_path / "s.json"
     r = run_cli("generate", "direct-sum", "--parts", f"{m4},{u}", "--out", str(s))
     assert r.returncode == 0
-    assert read_matrix(s).matrix.shape == (9, 9)
+    assert read_matrix(s).shape == (9, 9)
 
 
 def test_generate_missing_options(tmp_path):

@@ -9,10 +9,23 @@ from opnorm.core import (
     adjoint,
     as_exponent,
     as_matrix,
+    as_square,
     as_vector,
     dual_exponent,
     norm_equivalence_factor,
     vec_norm,
+)
+from opnorm.estimator import analyze, ascent_lower_bound
+from opnorm.exact import anchor_norms, norm_two
+from opnorm.structured import (
+    TensorRankOne,
+    as_circulant,
+    as_hankel,
+    as_tensor_rank_one,
+    as_unitary_permutation,
+    direct_sum,
+    doubly_balanced_norm,
+    split_direct_sum,
 )
 
 
@@ -93,6 +106,22 @@ def test_as_matrix_validates():
         as_matrix(np.empty((0, 3)))
     with pytest.raises(ValueError):
         as_matrix([[1.0, math.inf]])
+
+
+def test_as_square_is_the_one_square_check():
+    M = as_matrix([[1, 2], [3, 4]])
+    assert as_square(M) is M
+    wide = np.ones((2, 3))
+    for call in (lambda: as_square(wide), lambda: analyze(wide),
+                 lambda: ascent_lower_bound(wide, 3), lambda: norm_two(wide),
+                 lambda: anchor_norms(wide), lambda: doubly_balanced_norm(wide),
+                 lambda: split_direct_sum(wide), lambda: direct_sum([np.eye(2), wide]),
+                 lambda: TensorRankOne([1.0], [1.0], wide)):
+        with pytest.raises(ValueError, match="^matrix must be square, got 2x3$"):
+            call()
+    # recognizers answer "not this structure" instead
+    for recognize in (as_circulant, as_hankel, as_tensor_rank_one, as_unitary_permutation):
+        assert recognize(wide) is None
 
 
 def test_as_matrix_copies():

@@ -187,6 +187,27 @@ def test_ascent_overflow_raises_without_warnings():
             ascent_lower_bound([[1e308, 1e308], [1e308, -1e308]], 3)
 
 
+@pytest.mark.parametrize("p", [1.001, 1000.0])
+def test_extreme_exponent_with_subnormal_preimages(p):
+    # at q near 1, z v / |z| overflowed where the preimage z was subnormal
+    A = [[0.3, 0, 1.5], [-0.5, 0, 0], [-0.2, -0.7, 0]]
+    b = certified_bound(A, p)
+    assert 0.0 < b.lower <= b.upper
+    assert b.upper >= oracle_norm(A, p) * (1 - 1e-12)
+
+
+def test_preimage_step_clamps_only_subnormal_moduli():
+    Z = np.array([[1.0, 0.0], [5e-320, 2.0], [0.0, 1e-300j], [-3.0, 1.0]], dtype=complex)
+    a = np.abs(Z)
+    normal = a >= np.finfo(float).tiny
+    for q in (1.001, 1.5, 2.0):
+        nrm, X = estimator._preimage_step(Z, q)
+        assert np.isfinite(nrm).all() and np.isfinite(X).all()
+        v = (a / a.max(axis=0)) ** (q - 1.0)
+        assert np.array_equal(X[normal], (Z * (v / np.where(normal, a, 1.0)))[normal])
+        assert not X[a == 0.0].any()
+
+
 def test_eigen_lower_bound_accepts_circulant_pair():
     c = np.array([1.0, 2.0, 1j])
     C = densify(Circulant(c))

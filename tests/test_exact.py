@@ -9,14 +9,14 @@ from opnorm.exact import (
     AnchorNorms,
     _top_direction,
     anchor_norms,
-    is_p_isometry,
     norm_inf,
     norm_inf_attained,
     norm_one,
     norm_one_attained,
     norm_two,
 )
-from opnorm.structured import densify, random_unitary_permutation
+from opnorm.core import vec_norm
+from opnorm.structured import as_unitary_permutation, densify, random_unitary_permutation
 
 # ||[[1,2],[3,4]]||_2 solves the 2x2 Gram eigenproblem in closed form
 _NORM2_1234 = math.sqrt(15.0 + math.sqrt(221.0))
@@ -174,24 +174,41 @@ def test_anchor_two_norm_interpolation_bound():
         assert a.n2 <= a.geometric_midpoint * (1 + 1e-9)
 
 
+def _preserves_norms(D, p, seed=0) -> bool:
+    """Whether D keeps the p-norm of 8 seeded random vectors to 1e-12."""
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        x = random_complex(rng, D.shape[1])
+        ref = vec_norm(x, p)
+        if abs(vec_norm(D @ x, p) - ref) > 1e-12 * ref:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
 def test_unitary_permutation_is_isometry(p):
-    S = random_unitary_permutation(6, seed=9)
-    assert is_p_isometry(densify(S), p)
+    D = densify(random_unitary_permutation(6, seed=9))
+    assert as_unitary_permutation(D) is not None
+    assert _preserves_norms(D, p)
 
 
-def test_is_p_isometry_rejects():
+def test_unitary_permutation_recognizer_rejects():
     S = densify(random_unitary_permutation(5, seed=4)).copy()
     i = int(np.argmax(np.abs(S).sum(axis=1)))
     S[i, :] *= 1.001  # off-modulus phase
-    assert not is_p_isometry(S, 2)
-    assert not is_p_isometry([[1, 1], [0, 1]], 2)  # two nonzeros in a row
-    assert not is_p_isometry(np.ones((2, 3)), 2)  # not square
-    with pytest.raises(ValueError):
-        is_p_isometry(np.eye(2), 2, trials=0)
+    assert as_unitary_permutation(S) is None and not _preserves_norms(S, 2)
+    assert as_unitary_permutation([[1, 1], [0, 1]]) is None  # two nonzeros in a row
+    assert as_unitary_permutation(np.ones((2, 3))) is None  # not square
+    # a rotation keeps every 2-norm but no other p-norm, and is no phased
+    # permutation: the recognizer is structural, not tied to one exponent
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    assert _preserves_norms(R, 2) and not _preserves_norms(R, 1.5)
+    assert as_unitary_permutation(R) is None
 
 
 def test_diagonal_phases_are_isometries():
     D = np.diag([1.0, 1j, -1.0])
-    assert is_p_isometry(D, 1.5)
-    assert not is_p_isometry(np.diag([1.0, 0.5]), 1.5)
+    assert as_unitary_permutation(D) is not None and _preserves_norms(D, 1.5)
+    half = np.diag([1.0, 0.5])
+    assert as_unitary_permutation(half) is None and not _preserves_norms(half, 1.5)

@@ -38,14 +38,15 @@ def test_round_trip_exact(tmp_path, fmt):
     path = tmp_path / f"m.{fmt}"
     write_matrix(path, A)
     got = read_matrix(path)
-    assert got.format == fmt
-    assert np.array_equal(got.matrix, A.astype(complex))  # bit-exact via repr
+    assert np.array_equal(got, A.astype(complex))  # bit-exact via repr
+    assert not got.flags.writeable  # validated by as_matrix
+    assert path.read_text().startswith("{") == (fmt == "json")
 
 
 def test_json_shape_and_errors(tmp_path):
     p = tmp_path / "m.json"
     p.write_text('{"rows": 2, "cols": 1, "entries": [[1.0, 0.0], [2.5, -1.0]]}')
-    M = read_matrix(p).matrix
+    M = read_matrix(p)
     assert M.shape == (2, 1) and M[1, 0] == 2.5 - 1j
     for text in (
         "{not json",
@@ -64,7 +65,7 @@ def test_json_shape_and_errors(tmp_path):
 def test_csv_comments_blank_lines_and_errors(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("# comment\n1,2\n\n3,4i\n")
-    M = read_matrix(p).matrix
+    M = read_matrix(p)
     assert M.shape == (2, 2) and M[1, 1] == 4j
     p.write_text("1,2\n3\n")
     with pytest.raises(MatrixParseError):
@@ -80,14 +81,14 @@ def test_csv_comments_blank_lines_and_errors(tmp_path):
 def test_format_sniffing(tmp_path):
     p = tmp_path / "matrix.txt"
     p.write_text('{"rows": 1, "cols": 1, "entries": [[7.0, 0.0]]}')
-    assert read_matrix(p).format == "json"
+    assert np.array_equal(read_matrix(p), [[7.0]])
     p.write_text("7,1\n0,2\n")
-    assert read_matrix(p).format == "csv"
+    assert np.array_equal(read_matrix(p), [[7.0, 1.0], [0.0, 2.0]])
 
 
-def test_write_matrix_format_override(tmp_path):
-    p = tmp_path / "m.dat"
-    write_matrix(p, [[1.0, 2.0]], fmt="json")
-    assert read_matrix(p).format == "json"
-    with pytest.raises(ValueError):
-        write_matrix(p, [[1.0]], fmt="yaml")
+def test_write_matrix_format_follows_suffix(tmp_path):
+    for name in ("m.JSON", "m.csv", "m.dat"):
+        p = tmp_path / name
+        write_matrix(p, [[1.0, 2.0]])
+        assert p.read_text().startswith("{") == (name == "m.JSON")
+        assert np.array_equal(read_matrix(p), [[1.0, 2.0]])

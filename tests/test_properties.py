@@ -1,0 +1,75 @@
+"""Property tests: invariants every certified interval keeps, on generated input.
+
+Hypothesis draws real n x n matrices (n <= 3) whose entries are zero or have
+a modulus in [1e-3, 10], and exponents from [1, 1e4], with 1.001 and 1000
+drawn often.  ``derandomize=True`` makes every run try the same examples.
+Each property runs ``certified_bound`` and so also checks that it does not
+raise.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from opnorm.core import dual_exponent
+from opnorm.estimator import certified_bound, oracle_norm
+
+_settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+_entries = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+_exponents = st.one_of(st.sampled_from([1.001, 1000.0]), st.floats(1.0, 1e4))
+
+#: Zero entries with p near 1 or large once made the ascent divide by
+#: subnormal preimage entries and raise.
+_SPARSE = [[0.3, 0.0, 1.5], [-0.5, 0.0, 0.0], [-0.2, -0.7, 0.0]]
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(1, 3))
+    return np.array(draw(st.lists(_entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+def _overlap(a, b) -> bool:
+    return max(a.lower, b.lower) <= min(a.upper, b.upper) * (1 + 1e-12)
+
+
+@_settings
+@given(_matrices(), _exponents)
+@example(_SPARSE, 1000.0)
+@example(_SPARSE, 1.001)
+def test_upper_bound_is_above_the_oracle(A, p):
+    A = np.asarray(A)
+    b = certified_bound(A, p)
+    truth = abs(A[0, 0]) if A.shape == (1, 1) else oracle_norm(A, p)
+    assert b.upper >= truth * (1 - 1e-12)
+
+
+@_settings
+@given(_matrices(), _exponents)
+@example(_SPARSE, 1000.0)
+def test_intervals_of_a_matrix_and_its_transpose_overlap(A, p):
+    # ||A||_p = ||A^T||_q for real A
+    A = np.asarray(A)
+    assert _overlap(certified_bound(A, p), certified_bound(A.T, dual_exponent(p)))
+
+
+@_settings
+@given(_matrices(), _exponents, st.sampled_from([1e150, 1e-150]))
+@example(_SPARSE, 1.001, 1e150)
+def test_scaling_scales_the_bounds(A, p, s):
+    A = np.asarray(A)
+    base, scaled = certified_bound(A, p), certified_bound(s * A, p)
+    assert math.isclose(scaled.lower, s * base.lower, rel_tol=1e-9)
+    assert math.isclose(scaled.upper, s * base.upper, rel_tol=1e-9)
+
+
+@_settings
+@given(_matrices(), st.sampled_from([1.0, 2.0, math.inf]))
+def test_anchor_intervals_contain_the_numpy_norm(A, p):
+    A = np.asarray(A)
+    b = certified_bound(A, p)
+    ref = float(np.linalg.norm(A, ord=p))
+    assert b.lower <= ref * (1 + 1e-12) and b.upper >= ref * (1 - 1e-12)

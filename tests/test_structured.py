@@ -283,6 +283,12 @@ def test_tensor_norm_and_la():
     assert not is_log_affine(densify(TensorRankOne(a2, b2, [[1.0, 2.0], [3.0, 4.0]])))
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", True, None])
+def test_random_unitary_permutation_rejects_bad_seeds(seed):
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+        random_unitary_permutation(4, seed=seed)
+
+
 def test_random_unitary_permutation_deterministic():
     A = densify(random_unitary_permutation(5, seed=7))
     B = densify(random_unitary_permutation(5, seed=7))
