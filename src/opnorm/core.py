@@ -145,6 +145,20 @@ def as_square(entries) -> np.ndarray:
     return M
 
 
+def _ldexp(z: np.ndarray, k: int) -> np.ndarray:
+    """z * 2**k for an array z and an integer k >= -1074 that keeps z * 2**k
+    finite, one rounding per part: exact unless an entry lands in the
+    subnormal range.
+
+    k may exceed 1023, where 2**k is no double, as it must to bring a
+    subnormal-scale matrix to modulus 1; z is then subnormal, so z * 2**1023
+    is exact.
+    """
+    if k > 1023:
+        return z * 2.0 ** 1023 * math.ldexp(1.0, k - 1023)
+    return z * math.ldexp(1.0, k)
+
+
 def _check_seed(seed) -> int:
     """A seed as an int; ValueError unless it is a nonnegative integer."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

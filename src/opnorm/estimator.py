@@ -15,12 +15,18 @@ For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
 exponent >= 2.
 
+The ascent runs on the matrix scaled by the power of two that brings its
+largest modulus into [1, 2), and the returned value is recomputed on the
+caller's matrix, so subnormal-scale input neither over- nor underflows it.
+
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
 the log-affine anchor test) once per matrix; ``Analysis.bound`` then combines
 what they found with interpolation upper bounds and the best available lower
-bound into one interval with provenance tags at each exponent.
-``certified_bound`` is one such query.
+bound into one interval with provenance tags at each exponent.  For a real
+entrywise nonnegative matrix it also takes the Schur test at the ascent's
+maximizer, which is tight at the ascent's fixed point, as the upper bound
+where that is smaller.  ``certified_bound`` is one such query.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .core import (
     INF,
     Exponent,
     _check_seed,
+    _ldexp,
     adjoint,
     as_exponent,
     as_matrix,
@@ -51,6 +58,7 @@ from .exact import (
 )
 from .interp import (
     NormBound,
+    UpperEstimate,
     _is_self_adjoint,
     la_envelope,
     la_report_from_anchors,
@@ -253,8 +261,8 @@ def _block_ascent(M: np.ndarray, r: Exponent, X: np.ndarray) -> AscentResult:
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports both
         for step in range(_ASCENT_MAX_ITER):
-            obj, D = _image_step(M @ Xl, rv)
-            nrm, Xn = _preimage_step(Mh @ D, qv)
+            obj, D = _image_step(M.dot(Xl), rv)
+            nrm, Xn = _preimage_step(Mh.dot(D), qv)
             _finite(obj + nrm)  # one check for both: 0 <= nrm <= n
             objs[step, live] = obj
             done = obj == 0.0
@@ -316,27 +324,38 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
             x[0] = 1.0
         return AscentResult(vec_norm(M @ x, INF) / vec_norm(x, INF), x, 0, True, (value,))
 
+    # the ascent runs on 2^k M, whose largest modulus lies in [1, 2): no step
+    # then divides by a subnormal column maximum, and on a matrix whose
+    # iterates stay in the normal range every step is the same bits at any
+    # power-of-two scale
+    k = 1 - math.frexp(float(np.abs(M).max()))[1]
     dual_run = p.value < 2.0
-    work = adjoint(M) if dual_run else M
+    work = _ldexp(adjoint(M) if dual_run else M, k)
     r = dual_exponent(p) if dual_run else p
     best = _block_ascent(work, r, _ascent_starts(work, r, restarts, seed))
-    if not dual_run:
-        return best
-
-    # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at least
-    # the dual objective, by the Hoelder equality of the duality map
-    xi = _image_step((work @ best.maximizer)[:, None], r.value)[1][:, 0]
-    if not np.any(xi):
-        xi = np.ones(n, dtype=np.complex128)
-    xi = xi / vec_norm(xi, p)
-    value = vec_norm(M @ xi, p)
-    return AscentResult(value, xi, best.iterations, best.converged,
-                        best.objective_trace + (value,))
+    xi = best.maximizer
+    trace = best.objective_trace
+    if dual_run:
+        # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at least
+        # the dual objective, by the Hoelder equality of the duality map
+        xi = _image_step((work @ xi)[:, None], r.value)[1][:, 0]
+        if not np.any(xi):
+            xi = np.ones(n, dtype=np.complex128)
+        xi = xi / vec_norm(xi, p)
+    else:
+        trace = trace[:-1]  # the value below replaces the working matrix's
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value = vec_norm(M @ xi, p)
+        trace = tuple(np.ldexp(trace, -k).tolist())
+    if not math.isfinite(value):
+        raise ValueError("ascent value must be finite")
+    return AscentResult(value, xi, best.iterations, best.converged, trace + (value,))
 
 
 def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,
-                     extra=()) -> tuple[float, str]:
-    """Largest available certified lower bound with its provenance tag.
+                     extra=()) -> tuple[float, str, np.ndarray | None]:
+    """Largest available certified lower bound with its provenance tag, and
+    the ascent's maximizer (None when no ascent ran).
 
     At p in {1, 2, inf} with ``anchors`` given, the anchor is the norm itself
     (attained, like every candidate), so it is returned as "anchor" with no
@@ -348,13 +367,73 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,
     seed = _check_seed(seed)
     if anchors is not None:
         if p.value == 1.0:
-            return anchors.n1, "anchor"
+            return anchors.n1, "anchor", None
         if p.value == 2.0:
-            return anchors.n2, "anchor"
+            return anchors.n2, "anchor", None
         if p.is_inf:
-            return anchors.ninf, "anchor"
-    cands = [*extra, (ascent_lower_bound(M, p, seed=seed).value, "boyd")]
-    return max(cands, key=lambda c: c[0])  # the earliest candidate wins a tie
+            return anchors.ninf, "anchor", None
+    ascent = ascent_lower_bound(M, p, seed=seed)
+    # the earliest candidate wins a tie
+    value, tag = max([*extra, (ascent.value, "boyd")], key=lambda c: c[0])
+    return value, tag, ascent.maximizer
+
+
+#: Unit roundoff of a double.
+_U = 2.0 ** -53
+#: Smallest x_j and x_j^(p-1), and the floor of y / max y, in the Schur
+#: bound: a quotient by any of them stays normal, and far from overflow.
+_SCHUR_FLOOR = 2.0 ** -600
+
+
+def _schur_upper(M: np.ndarray, p: Exponent, xi: np.ndarray) -> float | None:
+    """Schur-test upper bound on ||M||_p, 1 < p < inf, for a real entrywise
+    nonnegative M at the vector x = |xi|, rounded outward; None when some
+    x_j or x_j^(p-1), with x scaled to max x in [0.5, 1), is below 2^-600
+    (as at a zero x_j).
+
+    For x > 0, y = M x and any w > 0, lam = max_i y_i / w_i and
+    mu = max_j (M^T w^(p-1))_j / x_j^(p-1) give ||M||_p <= lam^(1/q) mu^(1/p),
+    by Hoelder on (M z)_i = sum_j (m_ij x_j)^(1/q) (m_ij x_j)^(1/p) z_j / x_j.
+    With w = y / max y this is the Schur test
+    max_j ((M^T y^(p-1))_j / x_j^(p-1))^(1/p), which equals the norm at a
+    fixed point of the ascent (Boyd 1974; Higham 1992).  Here w is clamped
+    to at least 2^-600, which covers rows whose y rounded to zero.  Scaling
+    x or M changes nothing, so both are first scaled into [0.5, 1) by powers
+    of two; M then has an entry of at least 0.5, so max y >= 2^-601.
+
+    Rounding (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., section 3.1): u = 2^-53, gamma_k = k u / (1 - k u), arithmetic
+    correctly rounded and powers within one ulp.  A sum of n nonnegative
+    products is within gamma_n plus n 2^-1074 for underflow, which adds at
+    most n 2^-470 to lam and 3 n 2^-1074 / min x^(p-1) to mu; every other
+    operation is within 2u; the rounded exponents 1/p and 1 - 1/p move the
+    result by at most 1.01 u (|log lam| + |log mu| / p); an entry of M that
+    the scaling rounds moves the norm, which is at least 0.5, by n 2^-1075.
+    The computed value is thus within 1 + (n + 15 + 1.01 |log lam| +
+    1.01 |log mu| / p) u of the bound, and is raised by gamma_k with twice
+    that k, then by one ulp.
+    """
+    e = math.frexp(float(M.real.max()))[1]
+    S = np.ldexp(M.real, -e)
+    x = np.abs(xi)
+    x = np.ldexp(x, -math.frexp(float(x.max()))[1])
+    pv = p.value
+    px = x ** (pv - 1.0)
+    low = float(px.min())
+    if low < _SCHUR_FLOOR or float(x.min()) < _SCHUR_FLOOR:
+        return None
+    n = x.size
+    y = S.dot(x)
+    top = float(y.max())
+    w = np.maximum(y / top, _SCHUR_FLOOR)
+    lam = top + n * 2.0 ** -470
+    mu = float(((w ** (pv - 1.0)).dot(S) / px).max()) + 3.0 * n * 2.0 ** -1074 / low
+    slack = 2.0 * n + 32.0 + 4.0 * (abs(math.log(lam)) + abs(math.log(mu)) / pv)
+    bound = lam ** (1.0 - 1.0 / pv) * mu ** (1.0 / pv) * (1.0 + slack * _U / (1.0 - slack * _U))
+    try:
+        return math.nextafter(math.ldexp(bound, e), math.inf)
+    except OverflowError:  # above the double range: no use as an upper bound
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +590,12 @@ class Analysis:
         """Whether the matrix equals its conjugate transpose."""
         return _is_self_adjoint(self.matrix)
 
+    @cached_property
+    def nonnegative(self) -> bool:
+        """Whether the matrix is real and entrywise nonnegative."""
+        M = self.matrix
+        return not M.imag.any() and bool((M.real >= 0.0).all())
+
     def bound(self, p, seed: int = 0) -> NormBound:
         """Certified interval at one exponent; ``seed``, a nonnegative
         integer, drives the ascent."""
@@ -535,7 +620,13 @@ class Analysis:
         # a circulant's attaining root-of-unity eigenvector certifies the
         # spectral value as a lower bound at every exponent
         extra = ((anchors.n2, "eigen-certificate"),) if rule == "circulant" else ()
-        lo, ltag = best_lower_bound(self.matrix, p, seed=seed, anchors=anchors, extra=extra)
+        lo, ltag, x = best_lower_bound(self.matrix, p, seed=seed, anchors=anchors, extra=extra)
+        if x is not None and self.nonnegative:
+            schur = _schur_upper(self.matrix, p, x)
+            if schur is not None and schur < up.value:
+                # schur is certified, so a lower bound above it exceeds the
+                # norm by its rounding and is itself an upper bound
+                up = UpperEstimate(max(schur, lo), "schur")
         if lo > up.value * (1.0 + 1e-9):
             raise RuntimeError(
                 f"bound inconsistency at p={p}: lower {lo} exceeds upper {up.value}")

@@ -9,7 +9,10 @@ p = 2, where the envelope is sqrt(n1*ninf)) already certifies it globally.
 
 ``upper_bound`` takes the smallest of three certified bounds: the envelope,
 the two-segment interpolation through (1, n1), (2, n2) and (2, n2),
-(inf, ninf), and the dimension-scaled two-norm n^|1/2-1/p| * n2.
+(inf, ninf), and the dimension-scaled two-norm n^|1/2-1/p| * n2.  For a real
+entrywise nonnegative matrix, ``Analysis.bound`` in ``estimator`` replaces
+that bound by the Schur test at the ascent's maximizer where it is smaller
+(tag "schur").
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ __all__ = [
 
 #: How each side of a NormBound was certified.
 LOWER_PROVENANCES = ("ones-vector", "eigen-certificate", "boyd", "anchor")
-UPPER_PROVENANCES = ("anchor", "riesz-thorin", "two-norm-scaled", "self-adjoint")
+UPPER_PROVENANCES = ("anchor", "riesz-thorin", "two-norm-scaled", "self-adjoint", "schur")
 
 #: How far n2 / sqrt(n1 * ninf) may fall below 1 for the anchors to count as
 #: log-affine.
@@ -62,7 +65,9 @@ class NormBound:
     "anchor" (exact value at p in {1, 2, inf}, also
     used when an anchor equality certifies the whole envelope).  Upper tags:
     "anchor", "riesz-thorin" (envelope or two-segment interpolation),
-    "two-norm-scaled", "self-adjoint" (the p <-> q symmetric segment form).
+    "two-norm-scaled", "self-adjoint" (the p <-> q symmetric segment form),
+    "schur" (Schur test at the ascent's maximizer, for real nonnegative
+    matrices, rounded outward).
     """
 
     p: Exponent

@@ -27,8 +27,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (REL_TOL, _check_seed, as_exponent, as_matrix, as_square, as_vector,
-                   dual_exponent, vec_norm)
+from .core import (REL_TOL, _check_seed, _ldexp, as_exponent, as_matrix, as_square,
+                   as_vector, dual_exponent, vec_norm)
 
 __all__ = [
     "Circulant",
@@ -372,19 +372,22 @@ def _common_multiple(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(coef, ref) with every row stack[k] = coef[k] * ref, or None.
 
     ``ref`` is the row holding the largest entry; the fit is checked to the
-    structural tolerance.  The projections pair each row with ref scaled by
-    the power of two that brings its largest modulus into [0.5, 1): that is
-    exact, so coef is unchanged, and no product of two entries under- or
-    overflows.
+    structural tolerance.  The projections pair each row with ref, both
+    scaled by the power of two that brings the largest modulus into
+    [0.5, 1): that is exact down to the subnormal range, so coef is
+    unchanged, and neither the projections nor their common divisor
+    ||unit||^2, which lies between 0.25 and the row length, under- or
+    overflow.
     """
     mags = np.abs(stack)
     i = int(np.argmax(mags.max(axis=1)))
     top = float(mags[i].max())
     ref = stack[i]
-    unit = ref * math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
+    k = -math.frexp(top)[1]
+    unit = _ldexp(ref, k)
     # ref holds the largest entry, so a zero ref means an all-zero stack,
     # which fits with zero coefficients
-    coef = (stack @ np.conj(unit)) / (np.vdot(unit, ref).real or 1.0)
+    coef = (_ldexp(stack, k) @ np.conj(unit)) / (np.vdot(unit, unit).real or 1.0)
     if float(np.abs(stack - coef[:, None] * ref[None, :]).max()) > REL_TOL * top:
         return None
     return coef, ref

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from opnorm.estimator import (
     CertificateError,
     _ascent_starts,
     _random_starts,
+    analyze,
     ascent_lower_bound,
     best_lower_bound,
     certified_bound,
@@ -19,6 +21,7 @@ from opnorm.estimator import (
     oracle_search,
 )
 from opnorm.exact import anchor_norms
+from opnorm.interp import upper_bound
 from opnorm.structured import Circulant, HankelMod, UnitaryPermutation, densify, magic3
 
 _NORM2_1234 = math.sqrt(15.0 + math.sqrt(221.0))
@@ -181,10 +184,15 @@ def test_ascent_nilpotent_column_freezes_at_zero():
 
 
 def test_ascent_overflow_raises_without_warnings():
+    # the ascent runs at modulus 1, so only a norm beyond the double range
+    # overflows; ||[[1, 1], [1, -1]]||_3 = 2^(2/3) and ||[[1, 1], [1, 1]]||_p = 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
-            ascent_lower_bound([[1e308, 1e308], [1e308, -1e308]], 3)
+        res = ascent_lower_bound([[1e308, 1e308], [1e308, -1e308]], 3)
+        assert res.value == pytest.approx(2.0 ** (2.0 / 3.0) * 1e308, rel=1e-12)
+        for p in (1.5, 3):
+            with pytest.raises(ValueError, match="finite"):
+                ascent_lower_bound([[1e308, 1e308], [1e308, 1e308]], p)
 
 
 @pytest.mark.parametrize("p", [1.001, 1000.0])
@@ -263,10 +271,11 @@ def test_oracle_validation():
 
 
 def test_best_lower_bound_prefers_anchor_tag_on_tie():
-    v, tag = best_lower_bound(magic3(), 1, anchors=anchor_norms(magic3()))
-    assert v == 15.0 and tag == "anchor"
-    v, tag = best_lower_bound([[1, 2], [3, 4]], 1.5)
+    v, tag, x = best_lower_bound(magic3(), 1, anchors=anchor_norms(magic3()))
+    assert v == 15.0 and tag == "anchor" and x is None
+    v, tag, x = best_lower_bound([[1, 2], [3, 4]], 1.5)
     assert tag == "boyd" and v > 0
+    assert v == pytest.approx(vec_norm(np.array([[1, 2], [3, 4]]) @ x, 1.5), rel=1e-15)
 
 
 def test_certified_bound_exact_cases():
@@ -334,6 +343,45 @@ def test_certified_bound_general_interval_is_ordered():
             b = certified_bound(A, p)
             assert 0.0 <= b.lower <= b.upper
             assert b.lower_provenance in ("boyd", "anchor", "eigen-certificate")
+
+
+def _exact_schur_cube(A, x) -> Fraction:
+    """max_j (A^T y^2)_j / x_j^2 with y = A x, in exact rationals."""
+    n = len(x)
+    F = [[Fraction(float(a)) for a in row] for row in A]
+    X = [Fraction(float(v)) for v in x]
+    y = [sum(F[i][j] * X[j] for j in range(n)) for i in range(n)]
+    return max(sum(F[i][j] * y[i] ** 2 for i in range(n)) / X[j] ** 2 for j in range(n))
+
+
+def test_schur_upper_holds_in_exact_arithmetic():
+    # the Schur test at the ascent's own maximizer x, checked with fractions
+    # from the float x: the returned upper end u has u^3 >= the exact value
+    rng = np.random.default_rng(80)
+    for _ in range(40):
+        A = rng.integers(0, 10, (3, 3)).astype(float)
+        b = certified_bound(A, 3)
+        assert b.upper_provenance == "schur"
+        x = np.abs(ascent_lower_bound(A, 3).maximizer)
+        assert Fraction(b.upper) ** 3 >= _exact_schur_cube(A, x)
+        assert b.lower <= b.upper <= upper_bound(A, 3).value
+
+
+def test_schur_needs_a_positive_maximizer_and_a_nonnegative_matrix():
+    B = np.array([[1.0, 2.0, 4.0], [3.0, 1.0, 1.0], [2.0, 5.0, 1.0]])
+    zero_column = B.copy()
+    zero_column[:, 2] = 0.0  # the maximizer's last entry is zero
+    signed = B.copy()
+    signed[0, 1] = -2.0
+    complex_entry = B.astype(complex)
+    complex_entry[0, 1] = 2j
+    for p in (1.1, 1.5, 3.0, 7.0):
+        assert certified_bound(B, p).upper_provenance == "schur"
+        assert certified_bound(zero_column, p).upper_provenance == "riesz-thorin"
+        for M in (signed, complex_entry):
+            assert certified_bound(M, p).upper_provenance != "schur"
+    assert analyze(B).nonnegative
+    assert not analyze(signed).nonnegative and not analyze(complex_entry).nonnegative
 
 
 def test_certified_bound_zero_matrix():

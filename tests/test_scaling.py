@@ -3,15 +3,20 @@
 The recognizers' tolerances are relative to the largest modulus, and the
 anchors, the ascent and the structure fits neither under- nor overflow, so
 ``s * A`` gets the rule of ``A`` and bounds ``s`` times those of ``A`` from
-1e-300 up to 1e300.
+1e-300 up to 1e300.  Below that the entries of ``s * A`` are subnormal, so
+the reference is the same matrix brought back to modulus 1 by an exact
+power of two.
 """
+
+import math
 
 import numpy as np
 import pytest
 from conftest import random_complex
 
 from opnorm.core import INF
-from opnorm.estimator import CertificateError, analyze, certified_bound, eigen_lower_bound
+from opnorm.estimator import (CertificateError, analyze, certified_bound, eigen_lower_bound,
+                              oracle_norm)
 from opnorm.exact import AnchorNorms
 from opnorm.interp import _unimodal, profile
 from opnorm.structured import Circulant, UnitaryPermutation, densify, magic3
@@ -69,6 +74,26 @@ def test_huge_real_matrix_gets_a_general_interval():
     want = certified_bound(R, 3)
     assert b.lower == pytest.approx(1e300 * want.lower, rel=1e-9)
     assert b.upper == pytest.approx(1e300 * want.upper, rel=1e-9)
+
+
+#: Once raised "ascent iterates must be finite" at 1e-308 (p = 1.5) and, from
+#: the tensor fit, "vector entries must be finite" at 1e-310.
+_SPARSE = np.array([[0.3, 0.0, 1.5], [-0.5, 0.0, 0.0], [-0.2, -0.7, 0.0]])
+
+
+@pytest.mark.parametrize("s", [1e-308, 1e-310])
+@pytest.mark.parametrize("A", [_SPARSE, np.abs(_SPARSE) + 0.1], ids=["signed", "nonnegative"])
+def test_subnormal_scale_bounds_follow_the_unit_scale(A, s):
+    M = s * A
+    k = 1 - math.frexp(float(np.abs(M).max()))[1]
+    unit = np.ldexp(M, k)  # exact: the entries of M only move up
+    for p in (1.5, 3.0):
+        want, got = certified_bound(unit, p), certified_bound(M, p)
+        assert got.upper_provenance == want.upper_provenance
+        assert got.lower == pytest.approx(math.ldexp(want.lower, -k), rel=1e-12)
+        assert got.upper == pytest.approx(math.ldexp(want.upper, -k), rel=1e-12)
+        truth = math.ldexp(oracle_norm(unit, p), -k)
+        assert got.lower <= truth * (1 + 1e-12) and got.upper >= truth * (1 - 1e-12)
 
 
 def test_anchor_midpoint_at_extreme_scales():
