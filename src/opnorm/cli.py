@@ -55,8 +55,7 @@ def _p_json(p: Exponent):
 def _cmd_bounds(args) -> int:
     ps = [_p_token(tok) for tok in args.p.split(",")]
     analysis = analyze(as_square(read_matrix(args.matrix)))
-    for p in ps:
-        b = analysis.bound(p, seed=args.seed)
+    for p, b in zip(ps, analysis.bounds(ps, seed=args.seed)):
         print(json.dumps({
             "p": _p_json(p),
             "lower": b.lower,

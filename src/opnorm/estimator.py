@@ -4,13 +4,17 @@
 p-norm: xi <- Phi_q(A* Phi_p(A xi)) with Phi_r(z) = |z|^(r-1) sign(z); the
 objective ||A xi||_p / ||xi||_p is nondecreasing along the iteration and the
 returned value is always recomputed from the returned maximizer, so it is a
-true attained lower bound regardless of convergence.  All starts run as the
-columns of one n x k block, one matmul per side and step, each column
-freezing on its own stopping test; there is no early stop across starts.
-Each side of a step takes one modulus, one column maximum and one
-fractional power, which give both the column norms and the next direction.
-The seeded random starts are built once per (n, count, seed) and cached as
-a read-only block.
+true attained lower bound regardless of convergence.  It takes one exponent
+or a sequence of them, and every start of every exponent runs as one row of
+one k x n block: the rows are grouped by exponent, each group takes its own
+matmul per side and its own power per side, and every other operation of a
+step is one call over all rows.  So a query pays the per-step call overhead
+once, however many exponents it asks for, and costs the largest of their
+step counts rather than their sum.  Each row freezes on its own stopping
+test; there is no early stop across starts.  Each side of a step takes one
+modulus, one row maximum and one fractional power, which give both the row
+norms and the next direction.  The seeded random starts are built once per
+(n, count, seed) and cached as a read-only block.
 For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
 exponent >= 2.
@@ -21,19 +25,22 @@ caller's matrix, so subnormal-scale input neither over- nor underflows it.
 
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
-the log-affine anchor test) once per matrix; ``Analysis.bound`` then combines
-what they found with interpolation upper bounds and the best available lower
-bound into one interval with provenance tags at each exponent.  For a real
-entrywise nonnegative matrix it also takes the Schur test at the ascent's
-maximizer, which is tight at the ascent's fixed point, as the upper bound
-where that is smaller.  ``certified_bound`` is one such query.
+the log-affine anchor test) once per matrix; ``Analysis.bounds`` then
+combines what they found with interpolation upper bounds and the best
+available lower bound into one interval with provenance tags at each
+exponent, with one ascent for all of them.  For a real entrywise
+nonnegative matrix it also takes the Schur test at the ascent's maximizer,
+which is tight at the ascent's fixed point, as the upper bound where that is
+smaller.  ``certified_bound`` is one such query.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -142,52 +149,66 @@ def eigen_lower_bound(A, xi, S, lam) -> float:
 
 
 #: Smallest positive double.  ``np.maximum(top, _TINY)`` keeps every nonzero
-#: column maximum and makes a zero one a divisor that maps its column to zeros.
+#: maximum and makes a zero one a divisor that maps its line to zeros.
 _TINY = 5e-324
 #: Smallest normal double: a divisor clamped to it keeps every reciprocal
 #: finite, and leaves every normal modulus as it is.
 _NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def _col_pnorms(Y: np.ndarray, p: Exponent) -> np.ndarray:
-    """p-norm of every column, with powers taken on |y| / max|y| per column."""
+def _pnorms(Y: np.ndarray, p: Exponent, axis: int) -> np.ndarray:
+    """p-norm of every line of Y along ``axis``, with powers taken on
+    |y| / max|y| per line."""
     a = np.abs(Y)
-    top = a.max(axis=0)
+    top = a.max(axis=axis)
     if p.is_inf:
         return top
-    s = ((a / np.maximum(top, _TINY)) ** p.value).sum(axis=0)
+    scale = np.maximum(top, _TINY)
+    s = ((a / (scale[:, None] if axis else scale)) ** p.value).sum(axis=axis)
     return top * s ** (1.0 / p.value)
 
 
-def _image_step(Y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Column r-norms of Y and Phi_r(y) / max|y|^(r-1) for every column y,
-    for r >= 2, from one modulus and one power.
+def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray,
+                powers) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_r(y) / max|y|^(r-1) into the rows of D for every row y of Y,
+    r >= 2, and what the r-norm of y needs, from one modulus and one power
+    per group of rows.
 
-    With s = |y| / max|y| and u = s^(r-2), the norm is
-    max|y| * (sum u s s)^(1/r) and the direction is y u / max|y|.
+    ``powers`` lists (rows of S, r - 2, same rows of U) for each group,
+    which takes its power with that one scalar exponent.  With
+    m = max|y|, s = |y| / m in S and u = s^(r-2) in U, the direction is
+    y u / m and the r-norm of y is m (sum u s s)^(1/r); returned are m and
+    sum u s s.  Here m is clamped to the smallest normal double, which
+    keeps u / m finite: at r = 2 a zero row has u = 0^0 = 1.
     """
     a = np.abs(Y)
-    top = a.max(axis=0)
-    scale = np.maximum(top, _TINY)
-    s = a / scale
-    u = s ** (r - 2.0)
-    return top * (u * s * s).sum(axis=0) ** (1.0 / r), Y * (u / scale)
+    m = np.maximum(a.max(axis=1), _NORMAL)
+    scale = m[:, None]
+    np.divide(a, scale, out=S)
+    for s, e, u in powers:
+        np.power(s, e, out=u)
+    np.multiply(Y, U / scale, out=D)
+    return m, (U * S * S).sum(axis=1)
 
 
-def _preimage_step(Z: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Phi_q(z) / max|z|^(q-1) for every column z, and its r-norm, where
-    r = q / (q - 1), from one modulus and one power.
+def _preimage_step(Z: np.ndarray, S: np.ndarray, V: np.ndarray,
+                   powers) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_q(z) / max|z|^(q-1) for every row z of Z, and sum v s, whose power
+    (q - 1) / q is its r-norm, r = q / (q - 1); from one modulus and one
+    power per group of rows, ``powers`` listing (rows of S, q - 1, same rows
+    of V) for each.
 
-    With s = |z| / max|z| and v = s^(q-1), the direction is z v / |z| (zero
-    where z is zero) and its r-norm is (sum v s)^(1/r), since (q - 1) r = q.
-    The divisor |z| is clamped to the smallest normal double: for q near 1,
-    v / |z| would overflow at a subnormal z.  A zero z has v = 0, so its
-    entry stays zero.
+    With s = |z| / max|z| in S and v = s^(q-1) in V, the direction is
+    z v / |z| (zero where z is zero) and its r-norm is (sum v s)^(1/r),
+    since (q - 1) r = q.  The divisor |z| is clamped to the smallest normal
+    double: for q near 1, v / |z| would overflow at a subnormal z.  A zero z
+    has v = 0, so its entry stays zero.
     """
     a = np.abs(Z)
-    s = a / np.maximum(a.max(axis=0), _TINY)
-    v = s ** (q - 1.0)
-    return (v * s).sum(axis=0) ** ((q - 1.0) / q), Z * (v / np.maximum(a, _NORMAL))
+    np.divide(a, np.maximum(a.max(axis=1), _TINY)[:, None], out=S)
+    for s, e, v in powers:
+        np.power(s, e, out=v)
+    return (V * S).sum(axis=1), Z * (V / np.maximum(a, _NORMAL))
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
@@ -196,8 +217,8 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-#: Iteration cap of every ascent column, and the relative objective gain
-#: below which the column counts as converged.
+#: Iteration cap of every ascent row, and the relative objective gain below
+#: which the row counts as converged.
 _ASCENT_MAX_ITER = 500
 _ASCENT_GAIN_TOL = 1e-12
 
@@ -214,8 +235,19 @@ def _random_starts(n: int, count: int, seed: int) -> np.ndarray:
     return block
 
 
+@lru_cache(maxsize=4)  # n <= 4
+def _orthant_starts(n: int) -> np.ndarray:
+    """Read-only block of one sign vector per sign orthant of R^n but the
+    all-plus one, each with first entry +1: row b - 1 has -1 where bit j of
+    b is set, at entry j + 1."""
+    bits = np.arange(1, 2 ** (n - 1))[:, None] >> np.arange(n - 1) & 1
+    block = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits]).astype(np.complex128)
+    block.flags.writeable = False
+    return block
+
+
 def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int, seed: int) -> np.ndarray:
-    """Start vectors as the columns of one n x k block.
+    """Start vectors as the rows of one k x n block.
 
     Deterministic: the ones vector, the unit vector of the largest-r-norm
     column, and — for real matrices of size <= 4 — one seed per sign orthant,
@@ -224,158 +256,254 @@ def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int, seed: int) -> np.n
     starts of ``_random_starts``.
     """
     n = M.shape[1]
-    starts = [np.ones(n, dtype=np.complex128)]
-    if restarts >= 2:
-        e = np.zeros(n, dtype=np.complex128)
-        e[int(np.argmax(_col_pnorms(M, r)))] = 1.0
-        starts.append(e)
-        if n <= 4 and float(np.abs(M.imag).max()) == 0.0:
-            for bits in range(1, 2 ** (n - 1)):  # skip all-plus: already seeded
-                signs = [1.0] + [-1.0 if bits >> k & 1 else 1.0 for k in range(n - 1)]
-                starts.append(np.array(signs, dtype=np.complex128))
-        return np.hstack([np.stack(starts, axis=1), _random_starts(n, restarts - 2, seed)])
-    return np.stack(starts, axis=1)
+    if restarts < 2:
+        return np.ones((1, n), dtype=np.complex128)
+    head = np.zeros((2, n), dtype=np.complex128)
+    head[0] = 1.0
+    head[1, int(np.argmax(_pnorms(M, r, 0)))] = 1.0
+    if n <= 4 and float(np.abs(M.imag).max()) == 0.0:
+        head = np.concatenate([head, _orthant_starts(n)])
+    return np.concatenate([head, _random_starts(n, restarts - 2, seed).T])
 
 
-def _block_ascent(M: np.ndarray, r: Exponent, X: np.ndarray) -> AscentResult:
-    """Run the ascent from every column of X at once; the first column with
-    the largest final objective wins.
+def _block_ascent(runs) -> list[AscentResult]:
+    """Run the ascent from every start of every run at once, and return the
+    winner of each run: its first start with the largest final objective,
+    which is the result's value, recomputed from the final iterate.
 
-    Each step is X <- Phi_q(M* Phi_r(M X)) with per-column normalisation;
-    each side takes one modulus, one column maximum and one power
-    (``_image_step``, ``_preimage_step``).  A column freezes when its
-    objective is zero, gains less than 1e-12 relative, or its next direction
-    is zero; the others go on, up to 500 steps.  An overflow in either
-    product makes a column norm nonfinite, which raises ValueError.
+    A run is (working matrix W, exponent r >= 2, starts as rows).  All
+    starts are the rows of one k x n block, each run's rows together.  Each
+    step is x <- Phi_q(W* Phi_r(W x)) with per-row normalisation.  Every run
+    with rows left takes its own product per side and its own power with a
+    scalar exponent (``_image_step``, ``_preimage_step``); every other
+    operation is one call over all rows, reducing along rows.  So the bits
+    of a row do not depend on which other runs share the block.  A row
+    freezes when its objective is zero, gains less than 1e-12 relative, or
+    its next direction is zero; the others go on, up to 500 steps, and a run
+    whose rows have all frozen costs nothing.  An overflow in either product
+    makes a row norm nonfinite, which raises ValueError.
     """
-    rv = r.value
-    qv = dual_exponent(r).value
-    Mh = np.conj(M.T)
-    k = X.shape[1]
-    X = X / _col_pnorms(X, r)
+    counts = [len(X0) for _, _, X0 in runs]  # rows left per run
+    k, n = sum(counts), runs[0][0].shape[0]
+    # The live rows lead every work buffer, each run's rows together, so the
+    # views that a run's products and powers use change only when a row
+    # freezes.  The rows of Xl start as the starts at r-norm 1.
+    cbuf, fbuf = np.empty((4, k, n), dtype=np.complex128), np.empty((2, k, n))
+    # per row, the powers that take a row sum to the objective and to the
+    # r-norm of the next direction
+    roots = np.empty((2, k))
+    steps = []  # per run: Y = X W^T, Z = D conj(W), and its two powers
+    lo = 0
+    for (W, r, X0), c in zip(runs, counts):
+        np.divide(X0, _pnorms(X0, r, 1)[:, None], out=cbuf[0, lo:lo + c])
+        q = dual_exponent(r).value
+        roots[0, lo:lo + c], roots[1, lo:lo + c] = 1.0 / r.value, (q - 1.0) / q
+        steps.append((W.T, np.conj(W), r.value - 2.0, q - 1.0))
+        lo += c
+
+    def layout(rows):
+        """The leading rows of each buffer, for Xl, Y, D, Z, S and U, and
+        per run with rows left: its product views per side and its powers."""
+        Xl, Y, D, Z = cbuf[:, :rows]
+        S, U = fbuf[:, :rows]
+        fwd, back, ups, downs, lo = [], [], [], [], 0
+        for c, (WT, Wc, e_up, e_down) in zip(counts, steps):
+            if c:
+                xs, ys, ds, zs, ss, us = (b[lo:lo + c] for b in (Xl, Y, D, Z, S, U))
+                fwd.append((xs, WT, ys))
+                back.append((ds, Wc, zs))
+                ups.append((ss, e_up, us))
+                downs.append((ss, e_down, us))
+                lo += c
+        return Xl, Y, D, Z, S, U, fwd, back, ups, downs
+
+    X = np.empty((k, n), dtype=np.complex128)  # each row's final iterate
     objs = np.empty((_ASCENT_MAX_ITER, k))
     iters = np.full(k, _ASCENT_MAX_ITER)
     converged = np.zeros(k, dtype=bool)
-    live = np.arange(k)  # the columns still iterating, held in Xl
-    Xl = X
-    prev = None
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports both
+    live = np.arange(k)  # the rows still iterating, held in Xl
+    # against a zero previous objective the gain test at step 0 reads
+    # obj == 0, and at every later step a zero objective stops too
+    prev = np.zeros(k)
+    Xl, Y, D, Z, S, U, fwd, back, ups, downs = layout(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for step in range(_ASCENT_MAX_ITER):
-            obj, D = _image_step(M.dot(Xl), rv)
-            nrm, Xn = _preimage_step(Mh.dot(D), qv)
-            _finite(obj + nrm)  # one check for both: 0 <= nrm <= n
+            for x, w, y in fwd:
+                np.dot(x, w, out=y)
+            top, sums = _image_step(Y, S, U, D, ups)
+            obj = top * sums ** roots[0]
+            for d, w, z in back:
+                np.dot(d, w, out=z)
+            sums, Xn = _preimage_step(Z, S, U, downs)
+            nrm = sums ** roots[1]
+            # one check for both: every entry is >= 0 and small, so the dot
+            # product is finite exactly when all are (inf * 0 is nan)
+            if not math.isfinite(obj.dot(nrm)):
+                raise ValueError("ascent iterates must be finite")
             objs[step, live] = obj
-            done = obj == 0.0
-            if prev is not None:
-                done |= obj - prev <= _ASCENT_GAIN_TOL * prev
+            done = obj - prev <= _ASCENT_GAIN_TOL * prev
             stop = done | (nrm == 0.0)
-            if stop.any():
+            if np.count_nonzero(stop):  # the cheapest test of a small mask
                 iters[live[stop]] = step + 1
                 converged[live[done]] = True
-                X[:, live[stop]] = Xl[:, stop]
+                X[live[stop]] = Xl[stop]
+                ends = list(accumulate(counts))
+                for i in stop.nonzero()[0].tolist():
+                    counts[bisect_right(ends, i)] -= 1
                 keep = ~stop
-                live, Xn, nrm, obj = live[keep], Xn[:, keep], nrm[keep], obj[keep]
+                live, Xn, nrm, obj = live[keep], Xn[keep], nrm[keep], obj[keep]
                 if not live.size:
                     break
-            Xl, prev = Xn / nrm, obj
+                roots = roots[:, keep]
+                Xl, Y, D, Z, S, U, fwd, back, ups, downs = layout(live.size)
+            np.divide(Xn, nrm[:, None], out=Xl)
+            prev = obj
         else:
-            X[:, live] = Xl  # these columns moved on after their last objective
-        w = int(np.argmax(_finite(_col_pnorms(M @ X, r))))
-    x = X[:, w]
-    value = vec_norm(M @ x, r)
-    # a frozen column's last objective is that of x, which value replaces;
-    # a capped column moved on after its last one
-    recorded = iters[w] if w in live else iters[w] - 1
-    return AscentResult(value, x, int(iters[w]), bool(converged[w]),
-                        tuple(objs[:recorded, w].tolist()) + (value,))
+            X[live] = Xl  # these rows moved on after their last objective
+        winners = []
+        lo = 0
+        for W, r, X0 in runs:
+            objective = _finite(_pnorms(X[lo:lo + len(X0)].dot(W.T), r, 1))
+            w = int(np.argmax(objective))
+            winners.append((lo + w, float(objective[w])))
+            lo += len(X0)
+    results = []
+    for w, value in winners:
+        # a frozen row's last objective is that of its final iterate, which
+        # value replaces; a capped row moved on after its last one
+        recorded = iters[w] if w in live else iters[w] - 1
+        results.append(AscentResult(value, X[w], int(iters[w]), bool(converged[w]),
+                                    tuple(objs[:recorded, w].tolist()) + (value,)))
+    return results
 
 
-def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0) -> AscentResult:
-    """Iterative ascent lower bound for the operator p-norm.
+def _exponent_args(p) -> tuple[tuple[Exponent, ...], bool]:
+    """The exponents of one exponent, or of a tuple, list or 1-D array of
+    them, each validated, and whether it was one exponent."""
+    if isinstance(p, (tuple, list)) or isinstance(p, np.ndarray) and p.ndim == 1:
+        return tuple(map(as_exponent, p)), False
+    return (as_exponent(p),), True
 
-    All starts run together as the columns of one n x k block: the ones
-    vector, the unit vector of the largest-norm column, sign-orthant seeds
-    for small real matrices, and restarts-2 seeded random complex vectors.
-    Each step is one matmul per side for the whole block; a column freezes
-    once its relative objective gain drops below 1e-12 (at most 500 steps),
-    and the first column with the largest objective wins.  Every start runs
-    to its own stop; there is no early stop across starts.  At p in {1, inf}
-    the exact attaining coordinate formulas are used directly.
-    """
-    M = as_square(A)
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    seed = _check_seed(seed)
-    p = as_exponent(p)
+
+def _endpoint_ascent(M: np.ndarray, p: Exponent) -> AscentResult:
+    """The exact attaining coordinate formulas at p in {1, inf}."""
     n = M.shape[0]
-
     if p.value == 1.0:
         value, j = norm_one_attained(M)
         x = np.zeros(n, dtype=np.complex128)
         x[j] = 1.0
         return AscentResult(value, x, 0, True, (value,))
-    if p.is_inf:
-        value, i = norm_inf_attained(M)
-        row = np.conj(M[i])
-        mod = np.abs(row)
-        x = np.divide(row, mod, out=np.zeros(n, dtype=np.complex128), where=mod > 0.0)
-        if not np.any(x):
-            x = np.zeros(n, dtype=np.complex128)
-            x[0] = 1.0
-        return AscentResult(vec_norm(M @ x, INF) / vec_norm(x, INF), x, 0, True, (value,))
-
-    # the ascent runs on 2^k M, whose largest modulus lies in [1, 2): no step
-    # then divides by a subnormal column maximum, and on a matrix whose
-    # iterates stay in the normal range every step is the same bits at any
-    # power-of-two scale
-    k = 1 - math.frexp(float(np.abs(M).max()))[1]
-    dual_run = p.value < 2.0
-    work = _ldexp(adjoint(M) if dual_run else M, k)
-    r = dual_exponent(p) if dual_run else p
-    best = _block_ascent(work, r, _ascent_starts(work, r, restarts, seed))
-    xi = best.maximizer
-    trace = best.objective_trace
-    if dual_run:
-        # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at least
-        # the dual objective, by the Hoelder equality of the duality map
-        xi = _image_step((work @ xi)[:, None], r.value)[1][:, 0]
-        if not np.any(xi):
-            xi = np.ones(n, dtype=np.complex128)
-        xi = xi / vec_norm(xi, p)
-    else:
-        trace = trace[:-1]  # the value below replaces the working matrix's
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value = vec_norm(M @ xi, p)
-        trace = tuple(np.ldexp(trace, -k).tolist())
-    if not math.isfinite(value):
-        raise ValueError("ascent value must be finite")
-    return AscentResult(value, xi, best.iterations, best.converged, trace + (value,))
+    value, i = norm_inf_attained(M)
+    row = np.conj(M[i])
+    mod = np.abs(row)
+    x = np.divide(row, mod, out=np.zeros(n, dtype=np.complex128), where=mod > 0.0)
+    if not np.any(x):
+        x = np.zeros(n, dtype=np.complex128)
+        x[0] = 1.0
+    return AscentResult(vec_norm(M @ x, INF) / vec_norm(x, INF), x, 0, True, (value,))
 
 
-def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None,
-                     extra=()) -> tuple[float, str, np.ndarray | None]:
+def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0):
+    """Iterative ascent lower bound for the operator p-norm, at one exponent
+    or at each of a sequence of them.
+
+    ``p`` is one exponent, which gives one ``AscentResult``, or a sequence,
+    which gives a tuple of them in the same order (duplicates allowed, ``()``
+    for an empty sequence).  Every argument is validated before any ascent
+    runs; ``restarts`` must be a positive integer.
+
+    The starts of every exponent run together as the rows of one k x n
+    block (``_block_ascent``): for each, the ones vector, the unit vector of
+    the largest-norm column, sign-orthant seeds for small real matrices, and
+    restarts-2 seeded random complex vectors.  Each step is one matmul per
+    side and exponent; a row freezes once its relative objective gain drops
+    below 1e-12 (at most 500 steps), and the first row of an exponent with
+    the largest objective wins.  Every start runs to its own stop; there is
+    no early stop across starts.  An exponent's result has the same bits
+    whichever exponents share the call.  At p in {1, inf} the exact
+    attaining coordinate formulas are used directly.
+    """
+    M = as_square(A)
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise ValueError("restarts must be a positive integer")
+    seed = _check_seed(seed)
+    ps, one = _exponent_args(p)
+    climb = [e for e in ps if e.value != 1.0 and not e.is_inf]
+    if climb:
+        # the ascent runs on 2^k M, whose largest modulus lies in [1, 2): no
+        # step then divides by a subnormal row maximum, and on a matrix whose
+        # iterates stay in the normal range every step is the same bits at
+        # any power-of-two scale.  For 1 < p < 2 it runs on (2^k M*, q).
+        k = 1 - math.frexp(float(np.abs(M).max()))[1]
+        work = {dual: _ldexp(adjoint(M) if dual else M, k)
+                for dual in {e.value < 2.0 for e in climb}}
+        runs = []
+        for e in climb:
+            W = work[e.value < 2.0]
+            r = dual_exponent(e) if e.value < 2.0 else e
+            runs.append((W, r, _ascent_starts(W, r, int(restarts), seed)))
+        found = iter(zip(runs, _block_ascent(runs)))
+    results = []
+    for e in ps:
+        if e.value == 1.0 or e.is_inf:
+            results.append(_endpoint_ascent(M, e))
+            continue
+        (W, r, _), best = next(found)
+        xi = best.maximizer
+        trace = best.objective_trace
+        if e.value < 2.0:
+            # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at
+            # least the dual objective, by the Hoelder equality of the duality
+            # map; it is taken as in _image_step, Phi_r(y) / max|y|^(r-1) at
+            # y = W eta
+            y = W @ xi
+            a = np.abs(y)
+            scale = max(float(a.max()), _NORMAL)
+            xi = y * ((a / scale) ** (r.value - 2.0) / scale)
+            if not np.any(xi):
+                xi = np.ones(M.shape[0], dtype=np.complex128)
+            xi = xi / vec_norm(xi, e)
+        else:
+            trace = trace[:-1]  # the value below replaces the working matrix's
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            value = vec_norm(M @ xi, e)
+            trace = tuple(np.ldexp(trace, -k).tolist())
+        if not math.isfinite(value):
+            raise ValueError("ascent value must be finite")
+        results.append(AscentResult(value, xi, best.iterations, best.converged, trace + (value,)))
+    return results[0] if one else tuple(results)
+
+
+def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, extra=()):
     """Largest available certified lower bound with its provenance tag, and
-    the ascent's maximizer (None when no ascent ran).
+    the ascent's maximizer (None when no ascent ran), as a (value, tag,
+    maximizer) triple at one exponent, or a tuple of them, in order, at a
+    sequence of exponents.
 
     At p in {1, 2, inf} with ``anchors`` given, the anchor is the norm itself
     (attained, like every candidate), so it is returned as "anchor" with no
     ascent.  Otherwise the candidates are the caller's ``extra`` (value, tag)
-    pairs and the ascent.
+    pairs and the ascent, which runs once for all such exponents.
     """
     M = as_matrix(A)
-    p = as_exponent(p)
+    ps, one = _exponent_args(p)
     seed = _check_seed(seed)
-    if anchors is not None:
-        if p.value == 1.0:
-            return anchors.n1, "anchor", None
-        if p.value == 2.0:
-            return anchors.n2, "anchor", None
-        if p.is_inf:
-            return anchors.ninf, "anchor", None
-    ascent = ascent_lower_bound(M, p, seed=seed)
-    # the earliest candidate wins a tie
-    value, tag = max([*extra, (ascent.value, "boyd")], key=lambda c: c[0])
-    return value, tag, ascent.maximizer
+    pinned = {} if anchors is None else {1.0: anchors.n1, 2.0: anchors.n2, math.inf: anchors.ninf}
+    climb = [e for e in ps if e.value not in pinned]
+    # a lone exponent takes the one-exponent form, whose result describes
+    # the whole call
+    ascents = iter(ascent_lower_bound(M, climb, seed=seed) if len(climb) > 1 else
+                   [ascent_lower_bound(M, e, seed=seed) for e in climb])
+    out = []
+    for e in ps:
+        if e.value in pinned:
+            out.append((pinned[e.value], "anchor", None))
+            continue
+        ascent = next(ascents)
+        # the earliest candidate wins a tie
+        value, tag = max([*extra, (ascent.value, "boyd")], key=lambda c: c[0])
+        out.append((value, tag, ascent.maximizer))
+    return out[0] if one else tuple(out)
 
 
 #: Unit roundoff of a double.
@@ -487,7 +615,7 @@ def oracle_search(A, p, resolution: int = 360):
     if n == 2:
         thetas = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
         D = np.stack([np.cos(thetas), np.sin(thetas)])
-        vals = _col_pnorms(R @ D, p) / _col_pnorms(D, p)
+        vals = _pnorms(R @ D, p, 0) / _pnorms(D, p, 0)
         i = int(np.argmax(vals))
         step = 2.0 * np.pi / resolution
 
@@ -508,7 +636,7 @@ def oracle_search(A, p, resolution: int = 360):
         (np.sin(TH) * np.sin(PH)).ravel(),
         np.cos(TH).ravel(),
     ])
-    vals = _col_pnorms(R @ D, p) / _col_pnorms(D, p)
+    vals = _pnorms(R @ D, p, 0) / _pnorms(D, p, 0)
     i = int(np.argmax(vals))
     th0, ph0 = float(TH.ravel()[i]), float(PH.ravel()[i])
     v0 = float(vals[i])
@@ -597,40 +725,54 @@ class Analysis:
         return not M.imag.any() and bool((M.real >= 0.0).all())
 
     def bound(self, p, seed: int = 0) -> NormBound:
-        """Certified interval at one exponent; ``seed``, a nonnegative
-        integer, drives the ascent."""
-        p = as_exponent(p)
+        """Certified interval at one exponent: ``bounds((p,), seed)[0]``."""
+        return self.bounds((p,), seed)[0]
+
+    def bounds(self, ps, seed: int = 0) -> tuple[NormBound, ...]:
+        """Certified intervals at every exponent of ``ps``, in order; ``seed``,
+        a nonnegative integer, drives the ascent, which runs once for all of
+        them.  Every exponent and the seed are validated first."""
+        ps = tuple(map(as_exponent, ps))
         seed = _check_seed(seed)
         rule, anchors = self.rule, self.own_anchors
         if rule in _EXACT_TAGS:
-            v = la_envelope(anchors, p) if rule == "log-affine" else anchors.n1
-            at_anchor = rule == "scalar" or p.value in (1.0, 2.0) or p.is_inf
-            return NormBound(p, v, v, _EXACT_TAGS[rule], "anchor" if at_anchor else "riesz-thorin")
+            exact = []
+            for p in ps:
+                v = la_envelope(anchors, p) if rule == "log-affine" else anchors.n1
+                at_anchor = rule == "scalar" or p.value in (1.0, 2.0) or p.is_inf
+                exact.append(NormBound(p, v, v, _EXACT_TAGS[rule],
+                                       "anchor" if at_anchor else "riesz-thorin"))
+            return tuple(exact)
         if rule == "tensor":
-            core = self.parts[0].bound(p, seed=seed)
-            lo, hi = tensor_norm(self.tensor, p, (core.lower, core.upper))
-            return NormBound(p, lo, hi, core.lower_provenance, core.upper_provenance)
+            return tuple(NormBound(p, *tensor_norm(self.tensor, p, (c.lower, c.upper)),
+                                   c.lower_provenance, c.upper_provenance)
+                         for p, c in zip(ps, self.parts[0].bounds(ps, seed)))
         if self.parts:  # the blocks of a direct sum, or a Hankel layout's one factor
-            parts = [a.bound(p, seed=seed) for a in self.parts]
-            lo_part = max(parts, key=lambda b: b.lower)
-            hi_part = max(parts, key=lambda b: b.upper)
-            return NormBound(p, lo_part.lower, hi_part.upper,
-                             lo_part.lower_provenance, hi_part.upper_provenance)
-        up = upper_bound_from_anchors(anchors, self.matrix.shape[0], p, self.self_adjoint)
+            out = []
+            for p, parts in zip(ps, zip(*(a.bounds(ps, seed) for a in self.parts))):
+                lo_part = max(parts, key=lambda b: b.lower)
+                hi_part = max(parts, key=lambda b: b.upper)
+                out.append(NormBound(p, lo_part.lower, hi_part.upper,
+                                     lo_part.lower_provenance, hi_part.upper_provenance))
+            return tuple(out)
         # a circulant's attaining root-of-unity eigenvector certifies the
         # spectral value as a lower bound at every exponent
         extra = ((anchors.n2, "eigen-certificate"),) if rule == "circulant" else ()
-        lo, ltag, x = best_lower_bound(self.matrix, p, seed=seed, anchors=anchors, extra=extra)
-        if x is not None and self.nonnegative:
-            schur = _schur_upper(self.matrix, p, x)
-            if schur is not None and schur < up.value:
-                # schur is certified, so a lower bound above it exceeds the
-                # norm by its rounding and is itself an upper bound
-                up = UpperEstimate(max(schur, lo), "schur")
-        if lo > up.value * (1.0 + 1e-9):
-            raise RuntimeError(
-                f"bound inconsistency at p={p}: lower {lo} exceeds upper {up.value}")
-        return NormBound(p, min(lo, up.value), up.value, ltag, up.provenance)
+        lows = best_lower_bound(self.matrix, ps, seed=seed, anchors=anchors, extra=extra)
+        out = []
+        for p, (lo, ltag, x) in zip(ps, lows):
+            up = upper_bound_from_anchors(anchors, self.matrix.shape[0], p, self.self_adjoint)
+            if x is not None and self.nonnegative:
+                schur = _schur_upper(self.matrix, p, x)
+                if schur is not None and schur < up.value:
+                    # schur is certified, so a lower bound above it exceeds
+                    # the norm by its rounding and is itself an upper bound
+                    up = UpperEstimate(max(schur, lo), "schur")
+            if lo > up.value * (1.0 + 1e-9):
+                raise RuntimeError(
+                    f"bound inconsistency at p={p}: lower {lo} exceeds upper {up.value}")
+            out.append(NormBound(p, min(lo, up.value), up.value, ltag, up.provenance))
+        return tuple(out)
 
 
 def analyze(A) -> Analysis:
@@ -686,6 +828,6 @@ def certified_bound(A, p, seed: int = 0) -> NormBound:
     Otherwise the interval combines the interpolation upper bound with the
     best lower bound (exact anchors, circulant eigen certificates, iterative
     ascent).  To query several exponents, analyze once and call
-    ``Analysis.bound`` for each.
+    ``Analysis.bounds`` with all of them, which runs one ascent for all.
     """
     return analyze(A).bound(p, seed=seed)

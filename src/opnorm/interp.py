@@ -10,7 +10,7 @@ p = 2, where the envelope is sqrt(n1*ninf)) already certifies it globally.
 ``upper_bound`` takes the smallest of three certified bounds: the envelope,
 the two-segment interpolation through (1, n1), (2, n2) and (2, n2),
 (inf, ninf), and the dimension-scaled two-norm n^|1/2-1/p| * n2.  For a real
-entrywise nonnegative matrix, ``Analysis.bound`` in ``estimator`` replaces
+entrywise nonnegative matrix, ``Analysis.bounds`` in ``estimator`` replaces
 that bound by the Schur test at the ascent's maximizer where it is smaller
 (tag "schur").
 """
@@ -255,7 +255,8 @@ def profile(A, grid=None, seed: int = 0) -> PNormProfile:
     """Certified bounds over a sorted exponent grid containing 1, 2, and inf.
 
     The matrix is analyzed once and every grid point is the same query as
-    ``certified_bound``, so structure rules apply at every exponent.
+    ``certified_bound``, so structure rules apply at every exponent; one
+    ``Analysis.bounds`` call answers the whole grid, with one ascent.
     """
     from . import estimator  # deferred: estimator builds on this module
 
@@ -266,7 +267,7 @@ def profile(A, grid=None, seed: int = 0) -> PNormProfile:
     if not {1.0, 2.0, math.inf} <= have:
         raise ValueError("grid must contain 1, 2, and inf")
     analysis = estimator.analyze(A)
-    bounds = tuple(analysis.bound(p, seed=seed) for p in pts)
+    bounds = analysis.bounds(pts, seed=seed)
     uppers = [b.upper for b in bounds]
     g_values = tuple(
         (p.reciprocal, math.log(u) if u > 0.0 else -math.inf)

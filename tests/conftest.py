@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+
+import opnorm.estimator
 
 
 def random_complex(rng, *shape):
@@ -8,3 +11,21 @@ def random_complex(rng, *shape):
 def svd_norm(M) -> float:
     """Test-only spectral-norm oracle, independent of the package's solver."""
     return float(np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)[0])
+
+
+def same_ascent(a, b) -> bool:
+    """Whether two AscentResults agree bit for bit, maximizer and trace included."""
+    return (a.value == b.value and np.array_equal(a.maximizer, b.maximizer)
+            and a.iterations == b.iterations and a.converged == b.converged
+            and a.objective_trace == b.objective_trace)
+
+
+@pytest.fixture
+def ascent_calls(monkeypatch) -> list:
+    """One entry per call of ``estimator.ascent_lower_bound`` made through
+    its module name, as the engine makes them."""
+    calls = []
+    ascent = opnorm.estimator.ascent_lower_bound
+    monkeypatch.setattr(opnorm.estimator, "ascent_lower_bound",
+                        lambda *a, **kw: calls.append(1) or ascent(*a, **kw))
+    return calls

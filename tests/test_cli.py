@@ -69,6 +69,24 @@ def test_bounds_runs_jacobi_once_for_all_exponents(tmp_path, monkeypatch, capsys
     assert len(calls) == 1
 
 
+def test_bounds_runs_one_ascent_for_all_exponents(tmp_path, ascent_calls, capsys):
+    path = tmp_path / "a.json"
+    write_matrix(path, np.random.default_rng(61).standard_normal((6, 6)))
+    assert main(["bounds", str(path), "--p", "1,1.25,1.5,2,3,4,inf"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7
+    assert len(ascent_calls) == 1
+
+
+def test_bounds_repeats_a_duplicate_exponent(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    write_matrix(path, densify(Circulant([1.0, 2.0 + 1.0j, -3.0])))
+    assert main(["bounds", str(path), "--p", "3,1.5,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0] == lines[2]
+    assert main(["bounds", str(path), "--p", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines[:1]
+
+
 def test_classify_circulant(tmp_path):
     p = tmp_path / "c.csv"
     write_matrix(p, densify(Circulant([1.0, 2.0, 3.0])))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_complex, svd_norm
+from conftest import random_complex, same_ascent, svd_norm
 
 from opnorm import estimator
 from opnorm.core import INF, as_exponent, as_matrix, dual_exponent, vec_norm
@@ -22,7 +22,14 @@ from opnorm.estimator import (
 )
 from opnorm.exact import anchor_norms
 from opnorm.interp import upper_bound
-from opnorm.structured import Circulant, HankelMod, UnitaryPermutation, densify, magic3
+from opnorm.structured import (
+    Circulant,
+    HankelMod,
+    UnitaryPermutation,
+    densify,
+    direct_sum,
+    magic3,
+)
 
 _NORM2_1234 = math.sqrt(15.0 + math.sqrt(221.0))
 
@@ -76,9 +83,68 @@ def test_ascent_validation():
         ascent_lower_bound(np.eye(2), 2, restarts=0)
 
 
+@pytest.mark.parametrize("restarts", [2.5, "3", True, False, 1.0, 0, -1, None])
+def test_bad_restarts_fail_before_any_ascent(restarts, monkeypatch):
+    def no_ascent(runs):
+        raise AssertionError("the ascent ran")
+
+    monkeypatch.setattr(estimator, "_block_ascent", no_ascent)
+    for p in (3.0, (3.0, 1.5), ()):
+        with pytest.raises(ValueError, match="restarts must be a positive integer"):
+            ascent_lower_bound(np.eye(3), p, restarts=restarts)
+
+
+def test_numpy_integer_restarts():
+    A = random_complex(np.random.default_rng(62), 4, 4)
+    assert same_ascent(ascent_lower_bound(A, 3.0, restarts=np.int64(5)),
+                       ascent_lower_bound(A, 3.0, restarts=5))
+
+
+def test_ascent_validates_every_exponent_before_any_ascent(monkeypatch):
+    def no_ascent(runs):
+        raise AssertionError("the ascent ran")
+
+    monkeypatch.setattr(estimator, "_block_ascent", no_ascent)
+    for ps in ((3.0, 0.5), [1.5, "nan"], (3.0, -1.0, 4.0)):
+        with pytest.raises(ValueError):
+            ascent_lower_bound(np.eye(3), ps)
+
+
+def test_ascent_sequence_keeps_order_and_duplicates():
+    rng = np.random.default_rng(63)
+    for A in (random_complex(rng, 5, 5), rng.standard_normal((4, 4))):
+        ps = (3.0, 1.5, INF, 3.0, 1.0, 2.0, 1.5, "inf")
+        many = ascent_lower_bound(A, ps)
+        assert isinstance(many, tuple) and len(many) == len(ps)
+        for p, got in zip(ps, many):
+            assert same_ascent(got, ascent_lower_bound(A, p))
+        assert same_ascent(many[0], many[3]) and same_ascent(many[1], many[6])
+        assert many[0].maximizer is not many[3].maximizer
+        assert ascent_lower_bound(A, ()) == () and ascent_lower_bound(A, []) == ()
+        assert len(ascent_lower_bound(A, np.array([3.0, 1.5]))) == 2
+
+
+def test_best_lower_bound_sequence_matches_one_exponent_calls():
+    rng = np.random.default_rng(64)
+    A = rng.standard_normal((5, 5))
+    anchors = anchor_norms(A)
+    extra = ((0.5, "eigen-certificate"),)
+    ps = (1.0, 1.5, 2.0, 3.0, INF, 3.0)
+    for kw in ({}, {"anchors": anchors}, {"anchors": anchors, "extra": extra}):
+        many = best_lower_bound(A, ps, **kw)
+        assert len(many) == len(ps)
+        for p, (value, tag, x) in zip(ps, many):
+            one = best_lower_bound(A, p, **kw)
+            assert (value, tag) == one[:2]
+            assert (x is None and one[2] is None) or np.array_equal(x, one[2])
+    assert best_lower_bound(A, (), anchors=anchors) == ()
+
+
 def test_ascent_zero_matrix():
-    res = ascent_lower_bound(np.zeros((3, 3)), 2.5)
-    assert res.value == 0.0
+    # at p = 2 a zero image row once made u / max|y| = 1 / 5e-324 overflow
+    for p in (2.0, 2.5):
+        res = ascent_lower_bound(np.zeros((3, 3)), p)
+        assert res.value == 0.0
 
 
 def test_ascent_more_restarts_never_lower():
@@ -118,7 +184,7 @@ def test_block_ascent_matches_a_loop_over_its_starts():
     for A in [*cases, holes, holes * (1.0 - 0.5j)]:
         for p in (2.0, 2.5, 4.0, 8.0):
             starts = _ascent_starts(as_matrix(A), as_exponent(p), 8, 0)
-            want = max(_loop_ascent(A, p, x) for x in starts.T)
+            want = max(_loop_ascent(A, p, x) for x in starts)
             assert ascent_lower_bound(A, p).value == pytest.approx(want, rel=1e-12)
 
 
@@ -178,7 +244,7 @@ def test_ascent_nilpotent_column_freezes_at_zero():
     A = np.outer(u, v)
     only_ones = ascent_lower_bound(A, 3.0, restarts=1)
     assert only_ones.value == 0.0 and only_ones.converged and only_ones.iterations == 1
-    for p in (1.5, 3.0):
+    for p in (1.5, 2.0, 3.0):
         want = vec_norm(u, p) * vec_norm(v, dual_exponent(p))
         assert ascent_lower_bound(A, p).value == pytest.approx(want, rel=1e-9)
 
@@ -205,15 +271,38 @@ def test_extreme_exponent_with_subnormal_preimages(p):
 
 
 def test_preimage_step_clamps_only_subnormal_moduli():
-    Z = np.array([[1.0, 0.0], [5e-320, 2.0], [0.0, 1e-300j], [-3.0, 1.0]], dtype=complex)
+    # two rows of one group; the block holds its starts as rows
+    Z = np.array([[1.0, 5e-320, 0.0, -3.0], [0.0, 2.0, 1e-300j, 1.0]], dtype=complex)
     a = np.abs(Z)
     normal = a >= np.finfo(float).tiny
     for q in (1.001, 1.5, 2.0):
-        nrm, X = estimator._preimage_step(Z, q)
+        S, V = np.empty(Z.shape), np.empty(Z.shape)
+        sums, X = estimator._preimage_step(Z, S, V, [(S, q - 1.0, V)])
+        nrm = sums ** ((q - 1.0) / q)
         assert np.isfinite(nrm).all() and np.isfinite(X).all()
-        v = (a / a.max(axis=0)) ** (q - 1.0)
+        v = (a / a.max(axis=1)[:, None]) ** (q - 1.0)
         assert np.array_equal(X[normal], (Z * (v / np.where(normal, a, 1.0)))[normal])
         assert not X[a == 0.0].any()
+
+
+def test_bounds_run_one_ascent_for_all_exponents(ascent_calls):
+    A = np.random.default_rng(65).standard_normal((6, 6))
+    analysis = analyze(A)
+    ps = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, INF)
+    many = analysis.bounds(ps)
+    assert len(ascent_calls) == 1
+    assert many == tuple(analysis.bound(p) for p in ps)
+    assert analysis.bounds(()) == ()
+    assert analysis.bounds([3.0]) == (certified_bound(A, 3.0),)
+
+
+def test_direct_sum_runs_one_ascent_per_unstructured_block(ascent_calls):
+    rng = np.random.default_rng(66)
+    M = direct_sum([rng.standard_normal((3, 3)), magic3(), random_complex(rng, 4, 4)])
+    analysis = analyze(M)
+    assert [a.rule for a in analysis.parts] == ["general", "balanced", "general"]
+    analysis.bounds((1.25, 2.0, 3.0, 8.0))
+    assert len(ascent_calls) == 2
 
 
 def test_eigen_lower_bound_accepts_circulant_pair():

@@ -169,3 +169,10 @@ def test_profile_applies_the_structure_rules_of_certified_bound(rule):
     assert prof.analysis.rule == rule
     for p, b in zip(prof.grid, prof.bounds):
         assert b == certified_bound(M, p)
+
+
+def test_profile_runs_one_ascent(ascent_calls):
+    A = np.random.default_rng(67).standard_normal((6, 6))
+    assert analyze(A).rule == "general"
+    profile(A)
+    assert len(ascent_calls) == 1

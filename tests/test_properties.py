@@ -3,7 +3,9 @@
 Hypothesis draws real n x n matrices (n <= 3) whose entries are zero or have
 a modulus in [1e-3, 10], and exponents from [1, 1e4], with 1.001 and 1000
 drawn often.  The nonnegative draws, which the Schur bound serves, also
-zero a whole column now and then.  ``derandomize=True`` makes every run try
+zero a whole column now and then.  The batched-ascent property draws real
+and complex matrices up to n = 6 with zero rows and columns, and tuples of
+exponents that mix p < 2, p > 2, the anchors and repeats.  ``derandomize=True`` makes every run try
 the same examples.  Each property runs ``certified_bound`` and so also checks
 that it does not raise.
 """
@@ -14,8 +16,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import same_ascent
+
 from opnorm.core import dual_exponent
-from opnorm.estimator import certified_bound, oracle_norm
+from opnorm.estimator import ascent_lower_bound, certified_bound, oracle_norm
 
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -40,6 +44,28 @@ def _nonnegative_matrices(draw):
     if draw(st.integers(0, 3)) == 0:
         A[:, draw(st.integers(0, n - 1))] = 0.0
     return A
+
+
+@st.composite
+def _ascent_matrices(draw):
+    """Real or complex n x n, n <= 6, now and then with a zero row or column."""
+    n = draw(st.integers(1, 6))
+    parts = st.lists(_entries, min_size=n * n, max_size=n * n)
+    A = np.array(draw(parts), dtype=complex).reshape(n, n)
+    if draw(st.booleans()):
+        A += 1j * np.array(draw(parts)).reshape(n, n)
+    if draw(st.integers(0, 3)) == 0:
+        A[draw(st.integers(0, n - 1)), :] = 0.0
+    if draw(st.integers(0, 3)) == 0:
+        A[:, draw(st.integers(0, n - 1))] = 0.0
+    return A
+
+
+#: Tuples mixing p < 2, p > 2, the anchors and repeats.
+_exponent_tuples = st.lists(
+    st.one_of(st.sampled_from([1.0, 2.0, math.inf, 1.5, 3.0]), _exponents),
+    max_size=6,
+).map(lambda ps: tuple(ps + ps[:1]))
 
 
 def _overlap(a, b) -> bool:
@@ -89,3 +115,14 @@ def test_anchor_intervals_contain_the_numpy_norm(A, p):
     b = certified_bound(A, p)
     ref = float(np.linalg.norm(A, ord=p))
     assert b.lower <= ref * (1 + 1e-12) and b.upper >= ref * (1 - 1e-12)
+
+
+@_settings
+@given(_ascent_matrices(), _exponent_tuples)
+@example(np.zeros((3, 3)), (3.0, 2.0, 1.5, 3.0))
+@example(np.array(_SPARSE, dtype=complex), (1.001, 1000.0, 2.0, math.inf, 1.0))
+def test_batched_ascent_matches_one_exponent_calls_bit_for_bit(A, ps):
+    many = ascent_lower_bound(A, ps)
+    assert len(many) == len(ps)
+    for p, got in zip(ps, many):
+        assert same_ascent(got, ascent_lower_bound(A, p))
