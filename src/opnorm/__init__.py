@@ -14,7 +14,6 @@ from .core import (
     as_square,
     as_vector,
     dual_exponent,
-    norm_equivalence_factor,
     vec_norm,
 )
 from .estimator import (

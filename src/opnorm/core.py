@@ -29,7 +29,6 @@ __all__ = [
     "as_square",
     "as_vector",
     "dual_exponent",
-    "norm_equivalence_factor",
     "vec_norm",
 ]
 
@@ -195,17 +194,3 @@ def adjoint(A) -> np.ndarray:
     M = as_matrix(A)
     return np.ascontiguousarray(np.conj(M.T))
 
-
-def norm_equivalence_factor(n: int, p1, p2) -> float:
-    """Constant n^(1/p1 - 1/p2) with ||x||_{p1} <= factor * ||x||_{p2} on C^n.
-
-    Requires p1 <= p2 (so the factor is >= 1).
-    """
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    p1 = as_exponent(p1)
-    p2 = as_exponent(p2)
-    r1, r2 = p1.reciprocal, p2.reciprocal
-    if r1 < r2:
-        raise ValueError("requires p1 <= p2")
-    return float(n) ** (r1 - r2)

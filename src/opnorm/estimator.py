@@ -129,11 +129,11 @@ def eigen_lower_bound(A, xi, S, lam) -> float:
     S must be a phased permutation, which preserves every p-norm, so the
     eigen relation pins ||A||_p >= |lam| for all p.
     """
-    M = as_matrix(A)
+    M = as_square(A)
     x = as_vector(xi)
     if not isinstance(S, UnitaryPermutation):
         raise CertificateError("certificate requires a phased permutation")
-    if M.shape[0] != M.shape[1] or M.shape[0] != x.size or S.n != x.size:
+    if M.shape[0] != x.size or S.n != x.size:
         raise ValueError("certificate shapes do not match")
     if not np.any(x):
         raise CertificateError("certificate vector is zero")
@@ -598,12 +598,12 @@ def oracle_search(A, p, resolution: int = 360):
     (resolution points per angle, full sign-covering ranges) refined to an
     angular tolerance of 1e-8, hence always an attained lower bound.
     """
-    M = as_matrix(A)
+    M = as_square(A)
     p = as_exponent(p)
     if float(np.abs(M.imag).max()) != 0.0:
         raise ValueError("oracle supports real matrices only")
     n = M.shape[0]
-    if M.shape[0] != M.shape[1] or n not in (2, 3):
+    if n not in (2, 3):
         raise ValueError("oracle supports sizes 2 and 3 only")
     if resolution < 360:
         raise ValueError("resolution must be at least 360")
@@ -761,7 +761,7 @@ class Analysis:
         lows = best_lower_bound(self.matrix, ps, seed=seed, anchors=anchors, extra=extra)
         out = []
         for p, (lo, ltag, x) in zip(ps, lows):
-            up = upper_bound_from_anchors(anchors, self.matrix.shape[0], p, self.self_adjoint)
+            up = upper_bound_from_anchors(anchors, p, self.self_adjoint)
             if x is not None and self.nonnegative:
                 schur = _schur_upper(self.matrix, p, x)
                 if schur is not None and schur < up.value:

@@ -7,12 +7,12 @@ the anchor norms.  A matrix is **logarithmic affine (LA)** when f equals
 that envelope for every p; equality at one interior exponent (tested at
 p = 2, where the envelope is sqrt(n1*ninf)) already certifies it globally.
 
-``upper_bound`` takes the smallest of three certified bounds: the envelope,
-the two-segment interpolation through (1, n1), (2, n2) and (2, n2),
-(inf, ninf), and the dimension-scaled two-norm n^|1/2-1/p| * n2.  For a real
-entrywise nonnegative matrix, ``Analysis.bounds`` in ``estimator`` replaces
-that bound by the Schur test at the ascent's maximizer where it is smaller
-(tag "schur").
+``upper_bound`` is the Riesz-Thorin interpolation between the anchors: the
+segment through (1, n1), (2, n2) for p < 2 and through (2, n2), (inf, ninf)
+for p > 2.  Since n2 <= sqrt(n1 * ninf), the segment lies under the envelope
+up to rounding.  For a real entrywise nonnegative matrix, ``Analysis.bounds``
+in ``estimator`` replaces that bound by the Schur test at the ascent's
+maximizer where it is smaller (tag "schur").
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import (INF, Exponent, adjoint, as_exponent, as_matrix, dual_exponent,
-                   norm_equivalence_factor)
+from .core import INF, Exponent, adjoint, as_exponent, as_matrix, dual_exponent
 from .exact import AnchorNorms, anchor_norms
 
 if TYPE_CHECKING:
@@ -49,7 +48,7 @@ __all__ = [
 
 #: How each side of a NormBound was certified.
 LOWER_PROVENANCES = ("ones-vector", "eigen-certificate", "boyd", "anchor")
-UPPER_PROVENANCES = ("anchor", "riesz-thorin", "two-norm-scaled", "self-adjoint", "schur")
+UPPER_PROVENANCES = ("anchor", "riesz-thorin", "self-adjoint", "schur")
 
 #: How far n2 / sqrt(n1 * ninf) may fall below 1 for the anchors to count as
 #: log-affine.
@@ -64,8 +63,9 @@ class NormBound:
     (eigenvector through a phased permutation), "boyd" (iterative ascent),
     "anchor" (exact value at p in {1, 2, inf}, also
     used when an anchor equality certifies the whole envelope).  Upper tags:
-    "anchor", "riesz-thorin" (envelope or two-segment interpolation),
-    "two-norm-scaled", "self-adjoint" (the p <-> q symmetric segment form),
+    "anchor", "riesz-thorin" (the log-affine envelope of an exact rule, or
+    the two-segment interpolation), "self-adjoint" (the same segment for a
+    self-adjoint matrix, whose profile is symmetric under p <-> q),
     "schur" (Schur test at the ascent's maximizer, for real nonnegative
     matrices, rounded outward).
     """
@@ -134,13 +134,16 @@ def _is_self_adjoint(M: np.ndarray) -> bool:
     return M.shape[0] == M.shape[1] and bool(np.array_equal(M, adjoint(M)))
 
 
-def upper_bound_from_anchors(anchors: AnchorNorms, n: int, p,
+def upper_bound_from_anchors(anchors: AnchorNorms, p,
                              self_adjoint: bool = False) -> UpperEstimate:
-    """Best certified upper bound at p from the anchor norms of an n x n matrix.
+    """Certified upper bound at p from the anchor norms of a square matrix.
 
-    Exact (tag "anchor") at p in {1, 2, inf}; otherwise the minimum of the
-    envelope, the matching two-segment interpolation, and the scaled
-    two-norm n^|1/2 - 1/p| * n2.
+    Exact (tag "anchor") at p in {1, 2, inf}; otherwise the Riesz-Thorin
+    segment through (1, n1), (2, n2) for p < 2 or (2, n2), (inf, ninf) for
+    p > 2.  ``AnchorNorms`` keeps n2 <= sqrt(n1 * ninf), so the segment lies
+    under the envelope n1^(1/p) * ninf^(1-1/p) up to rounding; since
+    ||A||_1 and ||A||_inf are at most sqrt(n) * ||A||_2, it also lies under
+    the scaled two-norm n^|1/2 - 1/p| * n2.
     """
     p = as_exponent(p)
     t = p.reciprocal
@@ -150,26 +153,17 @@ def upper_bound_from_anchors(anchors: AnchorNorms, n: int, p,
         return UpperEstimate(anchors.ninf, "anchor")
     if p.value == 2.0:
         return UpperEstimate(anchors.n2, "anchor")
-    env = la_envelope(anchors, p)
     if p.value < 2.0:
         seg = riesz_thorin_bound(p, Exponent(1.0), anchors.n1, Exponent(2.0), anchors.n2)
-        factor = norm_equivalence_factor(n, p, 2.0)
     else:
         seg = riesz_thorin_bound(p, Exponent(2.0), anchors.n2, INF, anchors.ninf)
-        factor = norm_equivalence_factor(n, 2.0, p)
-    scaled = factor * anchors.n2
-    best = min(env, seg, scaled)
-    if best == seg:
-        return UpperEstimate(seg, "self-adjoint" if self_adjoint else "riesz-thorin")
-    if best == env:
-        return UpperEstimate(env, "riesz-thorin")
-    return UpperEstimate(scaled, "two-norm-scaled")
+    return UpperEstimate(seg, "self-adjoint" if self_adjoint else "riesz-thorin")
 
 
 def upper_bound(A, p) -> UpperEstimate:
     """Best certified upper bound for the operator p-norm of a square matrix."""
     M = as_matrix(A)
-    return upper_bound_from_anchors(anchor_norms(M), M.shape[0], p, _is_self_adjoint(M))
+    return upper_bound_from_anchors(anchor_norms(M), p, _is_self_adjoint(M))
 
 
 @dataclass(frozen=True)
@@ -221,6 +215,12 @@ class PNormProfile:
     a single descent/ascent, and ``p0_estimate`` locates the grid minimum
     (bracketed by ``p0_interval``).  Self-adjoint inputs report p0 = 2.
     ``analysis`` is the one structure analysis every grid point queried.
+
+    Every upper end but "schur" is log-convex in 1/p: the interpolation is
+    two log-linear pieces that meet at p = 2, convex because
+    n2^2 <= n1 * ninf; an exact rule is constant or log-linear; and the
+    tensor and direct-sum rules keep convexity.  So ``log_convex`` and
+    ``unimodal`` can read False only where a "schur" upper end enters.
     """
 
     grid: tuple[Exponent, ...]

@@ -58,26 +58,27 @@ def _validated(M: np.ndarray) -> np.ndarray:
 def _read_json(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise MatrixParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MatrixParseError("JSON matrix must be an object")
-    try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixParseError("JSON matrix needs integer rows/cols and entries") from exc
+    rows, cols, entries = doc.get("rows"), doc.get("cols"), doc.get("entries")
+    if type(rows) is not int or type(cols) is not int:  # bool and float are no sizes
+        raise MatrixParseError("JSON matrix needs integer rows/cols and entries")
     if rows < 1 or cols < 1:
         raise MatrixParseError("rows and cols must be positive")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MatrixParseError(
-            f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
+            f"expected {rows}x{cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
     flat = np.empty(rows * cols, dtype=np.complex128)
     for k, e in enumerate(entries):
         if (not isinstance(e, list) or len(e) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)):
             raise MatrixParseError(f"entry {k} must be a [re, im] number pair")
-        flat[k] = complex(e[0], e[1])
+        try:
+            flat[k] = complex(e[0], e[1])
+        except OverflowError as exc:  # an integer past the float range
+            raise MatrixParseError(f"entry {k} is out of range") from exc
     return _validated(flat.reshape(rows, cols))
 
 

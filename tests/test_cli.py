@@ -214,5 +214,16 @@ def test_parse_error_exit_code(tmp_path):
     assert run_cli("bounds", str(p)).returncode == 2
 
 
+@pytest.mark.parametrize("size, n", [("2.7", 2), ("true", 1), ('"2"', 2), ("1e400", 1)])
+def test_bounds_rejects_a_size_that_is_no_integer(tmp_path, size, n, capsys):
+    # read through int(), each size but the last made a valid n x n matrix
+    p = tmp_path / "m.json"
+    entries = json.dumps([[1, 0]] * (n * n))
+    p.write_text(f'{{"rows": {size}, "cols": {size}, "entries": {entries}}}')
+    assert main(["bounds", str(p), "--p", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_no_subcommand_usage_error():
     assert run_cli().returncode == 2

@@ -12,13 +12,13 @@ from opnorm.core import (
     as_square,
     as_vector,
     dual_exponent,
-    norm_equivalence_factor,
     vec_norm,
 )
-from opnorm.estimator import analyze, ascent_lower_bound
+from opnorm.estimator import analyze, ascent_lower_bound, eigen_lower_bound, oracle_search
 from opnorm.exact import anchor_norms, norm_two
 from opnorm.structured import (
     TensorRankOne,
+    UnitaryPermutation,
     as_circulant,
     as_hankel,
     as_tensor_rank_one,
@@ -116,7 +116,9 @@ def test_as_square_is_the_one_square_check():
                  lambda: ascent_lower_bound(wide, 3), lambda: norm_two(wide),
                  lambda: anchor_norms(wide), lambda: doubly_balanced_norm(wide),
                  lambda: split_direct_sum(wide), lambda: direct_sum([np.eye(2), wide]),
-                 lambda: TensorRankOne([1.0], [1.0], wide)):
+                 lambda: TensorRankOne([1.0], [1.0], wide),
+                 lambda: eigen_lower_bound(wide, np.ones(2), UnitaryPermutation((0, 1), [1, 1]), 1.0),
+                 lambda: oracle_search(wide, 3)):
         with pytest.raises(ValueError, match="^matrix must be square, got 2x3$"):
             call()
     # recognizers answer "not this structure" instead
@@ -166,11 +168,3 @@ def test_adjoint_involution_and_pairing_identity():
     lhs = np.vdot(y, as_matrix(A) @ x)  # <A x, y>, conjugate in the second slot
     rhs = np.vdot(adjoint(A) @ y, x)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_norm_equivalence_factor():
-    assert norm_equivalence_factor(4, 1, 2) == pytest.approx(2.0, rel=1e-15)
-    assert norm_equivalence_factor(9, 2, INF) == pytest.approx(3.0, rel=1e-15)
-    assert norm_equivalence_factor(5, 2, 2) == 1.0
-    with pytest.raises(ValueError):
-        norm_equivalence_factor(4, 2, 1)

@@ -70,7 +70,7 @@ def test_upper_bound_between_anchors():
     est = upper_bound(A, 1.5)
     assert est.value <= la_envelope(a, 1.5) + 1e-12
     assert est.value <= a.n1 ** (1 / 3) * a.n2 ** (2 / 3) * (1 + 1e-12)  # segment (1, 2)
-    assert est.provenance in ("riesz-thorin", "two-norm-scaled")
+    assert est.provenance == "riesz-thorin"
 
 
 def test_upper_bound_dominates_attained_values():
@@ -88,7 +88,7 @@ def test_upper_bound_dominates_attained_values():
 def test_self_adjoint_tag():
     H = np.array([[1.0, 3.0], [3.0, 1.0]])
     est = upper_bound(H, 4)
-    assert est.provenance in ("self-adjoint", "riesz-thorin", "two-norm-scaled")
+    assert est.provenance == "self-adjoint"
     # self-adjoint profile is symmetric under p <-> q, so both sides agree
     assert upper_bound(H, 4).value == pytest.approx(upper_bound(H, 4 / 3).value, rel=1e-12)
 

@@ -62,6 +62,26 @@ def test_json_shape_and_errors(tmp_path):
             read_matrix(p)
 
 
+@pytest.mark.parametrize("rows", ["2.7", "2.0", "true", '"2"', "1e400",
+                                  pytest.param("1" + "0" * 5000, id="5001-digits")])
+def test_json_sizes_must_be_integers(tmp_path, rows):
+    # int() would read 2.7 as 2, accept true and "2", and overflow on 1e400
+    p = tmp_path / "m.json"
+    p.write_text(f'{{"rows": {rows}, "cols": 1, "entries": [[1, 0], [2, 0]]}}')
+    with pytest.raises(MatrixParseError):
+        read_matrix(p)
+    p.write_text(f'{{"rows": 2, "cols": {rows}, "entries": [[1, 0], [2, 0]]}}')
+    with pytest.raises(MatrixParseError):
+        read_matrix(p)
+
+
+def test_json_entry_past_the_float_range(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text('{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400))
+    with pytest.raises(MatrixParseError, match="entry 0 is out of range"):
+        read_matrix(p)
+
+
 def test_csv_comments_blank_lines_and_errors(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("# comment\n1,2\n\n3,4i\n")

@@ -5,26 +5,35 @@ a modulus in [1e-3, 10], and exponents from [1, 1e4], with 1.001 and 1000
 drawn often.  The nonnegative draws, which the Schur bound serves, also
 zero a whole column now and then.  The batched-ascent property draws real
 and complex matrices up to n = 6 with zero rows and columns, and tuples of
-exponents that mix p < 2, p > 2, the anchors and repeats.  ``derandomize=True`` makes every run try
-the same examples.  Each property runs ``certified_bound`` and so also checks
+exponents that mix p < 2, p > 2, the anchors and repeats; the same
+matrices serve the properties of the interpolation upper bound and of
+``profile``'s convexity diagnostics.  ``derandomize=True`` makes every run
+try the same examples.  Each property runs ``certified_bound`` and so also checks
 that it does not raise.
 """
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import same_ascent
 
 from opnorm.core import dual_exponent
-from opnorm.estimator import ascent_lower_bound, certified_bound, oracle_norm
+from opnorm.estimator import analyze, ascent_lower_bound, certified_bound, oracle_norm
+from opnorm.interp import la_envelope, profile
+from opnorm.structured import Circulant, densify
 
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 _entries = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
 _exponents = st.one_of(st.sampled_from([1.001, 1000.0]), st.floats(1.0, 1e4))
+_interior_exponents = st.one_of(
+    st.sampled_from([1.001, 1.5, 3.0, 1000.0]),
+    st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    st.floats(2.0, 1e4, exclude_min=True),
+)
 
 #: Zero entries with p near 1 or large once made the ascent divide by
 #: subnormal preimage entries and raise.
@@ -66,6 +75,13 @@ _exponent_tuples = st.lists(
     st.one_of(st.sampled_from([1.0, 2.0, math.inf, 1.5, 3.0]), _exponents),
     max_size=6,
 ).map(lambda ps: tuple(ps + ps[:1]))
+
+
+#: Coefficients 1, 2, 3 aligned but for a phase of 3e-9 on the last, so the
+#: witness test misses by 2e-9 of the largest modulus: the rule is
+#: "circulant", n2 rounds onto n1 = ninf = 6, and the envelope falls just
+#: below the segment.
+_NEAR_ALIGNED = densify(Circulant([1, 2, 3 * np.exp(3e-9j)]))
 
 
 def _overlap(a, b) -> bool:
@@ -126,3 +142,26 @@ def test_batched_ascent_matches_one_exponent_calls_bit_for_bit(A, ps):
     assert len(many) == len(ps)
     for p, got in zip(ps, many):
         assert same_ascent(got, ascent_lower_bound(A, p))
+
+
+@_settings
+@given(_ascent_matrices(), _interior_exponents)
+@example(_NEAR_ALIGNED, 1.5)
+def test_upper_bound_is_below_the_envelope_and_the_scaled_two_norm(A, p):
+    # the Riesz-Thorin segment through (2, n2) is the only interpolation
+    # upper bound; neither of these two ever lies below it
+    n = A.shape[0]
+    anchors = analyze(A).anchors
+    scaled = n ** abs(0.5 - 1.0 / p) * anchors.n2
+    cap = min(la_envelope(anchors, p), scaled)
+    assert certified_bound(A, p).upper <= (1 + 1e-15) * cap
+
+
+@_settings
+@given(_ascent_matrices())
+@example(_NEAR_ALIGNED)
+def test_profile_is_log_convex_and_unimodal_without_schur(A):
+    # every upper end but "schur" is log-convex in 1/p
+    prof = profile(A)
+    assume(all(b.upper_provenance != "schur" for b in prof.bounds))
+    assert prof.log_convex and prof.unimodal
