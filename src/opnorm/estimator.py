@@ -4,7 +4,9 @@
 p-norm: xi <- Phi_q(A* Phi_p(A xi)) with Phi_r(z) = |z|^(r-1) sign(z); the
 objective ||A xi||_p / ||xi||_p is nondecreasing along the iteration and the
 returned value is always recomputed from the returned maximizer, so it is a
-true attained lower bound regardless of convergence.  It takes one exponent
+true attained lower bound regardless of convergence.  Each ``AscentResult``
+holds that value and maximizer, and the step count and convergence of the
+winning start; no per-step history is kept.  It takes one exponent
 or a sequence of them, and every start of every exponent runs as one row of
 one k x n block: the rows are grouped by exponent, each group takes its own
 matmul per side and its own power per side, and every other operation of a
@@ -37,10 +39,8 @@ smaller.  ``certified_bound`` is one such query.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -110,16 +110,15 @@ class AscentResult:
 
     The value is recomputed from the maximizer before returning, so the
     self-certification identity holds to working precision by construction.
-    ``iterations``, ``converged`` and ``objective_trace`` describe the
-    winning start; the trace is nondecreasing up to rounding and ends at
-    ``value``.
+    ``iterations`` is the number of steps the winning start took, and
+    ``converged`` whether it stopped on the gain test rather than at the
+    step cap or on a zero direction; both are 0 and True at p in {1, inf}.
     """
 
     value: float
     maximizer: np.ndarray
     iterations: int
     converged: bool
-    objective_trace: tuple[float, ...]
 
 
 def eigen_lower_bound(A, xi, S, lam) -> float:
@@ -266,10 +265,11 @@ def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int, seed: int) -> np.n
     return np.concatenate([head, _random_starts(n, restarts - 2, seed).T])
 
 
-def _block_ascent(runs) -> list[AscentResult]:
-    """Run the ascent from every start of every run at once, and return the
-    winner of each run: its first start with the largest final objective,
-    which is the result's value, recomputed from the final iterate.
+def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
+    """Run the ascent from every start of every run at once, and return for
+    each run (final iterate, step count, converged) of its winning start,
+    the first with the largest objective at its final iterate.  The caller
+    recomputes the value on its own matrix.
 
     A run is (working matrix W, exponent r >= 2, starts as rows).  All
     starts are the rows of one k x n block, each run's rows together.  Each
@@ -285,6 +285,7 @@ def _block_ascent(runs) -> list[AscentResult]:
     """
     counts = [len(X0) for _, _, X0 in runs]  # rows left per run
     k, n = sum(counts), runs[0][0].shape[0]
+    run_of = np.repeat(np.arange(len(runs)), counts)  # the run of each live row
     # The live rows lead every work buffer, each run's rows together, so the
     # views that a run's products and powers use change only when a row
     # freezes.  The rows of Xl start as the starts at r-norm 1.
@@ -318,7 +319,6 @@ def _block_ascent(runs) -> list[AscentResult]:
         return Xl, Y, D, Z, S, U, fwd, back, ups, downs
 
     X = np.empty((k, n), dtype=np.complex128)  # each row's final iterate
-    objs = np.empty((_ASCENT_MAX_ITER, k))
     iters = np.full(k, _ASCENT_MAX_ITER)
     converged = np.zeros(k, dtype=bool)
     live = np.arange(k)  # the rows still iterating, held in Xl
@@ -340,20 +340,18 @@ def _block_ascent(runs) -> list[AscentResult]:
             # product is finite exactly when all are (inf * 0 is nan)
             if not math.isfinite(obj.dot(nrm)):
                 raise ValueError("ascent iterates must be finite")
-            objs[step, live] = obj
             done = obj - prev <= _ASCENT_GAIN_TOL * prev
             stop = done | (nrm == 0.0)
             if np.count_nonzero(stop):  # the cheapest test of a small mask
                 iters[live[stop]] = step + 1
                 converged[live[done]] = True
                 X[live[stop]] = Xl[stop]
-                ends = list(accumulate(counts))
-                for i in stop.nonzero()[0].tolist():
-                    counts[bisect_right(ends, i)] -= 1
                 keep = ~stop
-                live, Xn, nrm, obj = live[keep], Xn[keep], nrm[keep], obj[keep]
+                live, run_of = live[keep], run_of[keep]
+                Xn, nrm, obj = Xn[keep], nrm[keep], obj[keep]
                 if not live.size:
                     break
+                counts = np.bincount(run_of, minlength=len(runs)).tolist()
                 roots = roots[:, keep]
                 Xl, Y, D, Z, S, U, fwd, back, ups, downs = layout(live.size)
             np.divide(Xn, nrm[:, None], out=Xl)
@@ -363,18 +361,10 @@ def _block_ascent(runs) -> list[AscentResult]:
         winners = []
         lo = 0
         for W, r, X0 in runs:
-            objective = _finite(_pnorms(X[lo:lo + len(X0)].dot(W.T), r, 1))
-            w = int(np.argmax(objective))
-            winners.append((lo + w, float(objective[w])))
+            w = lo + int(np.argmax(_finite(_pnorms(X[lo:lo + len(X0)].dot(W.T), r, 1))))
+            winners.append((X[w], int(iters[w]), bool(converged[w])))
             lo += len(X0)
-    results = []
-    for w, value in winners:
-        # a frozen row's last objective is that of its final iterate, which
-        # value replaces; a capped row moved on after its last one
-        recorded = iters[w] if w in live else iters[w] - 1
-        results.append(AscentResult(value, X[w], int(iters[w]), bool(converged[w]),
-                                    tuple(objs[:recorded, w].tolist()) + (value,)))
-    return results
+    return winners
 
 
 def _exponent_args(p) -> tuple[tuple[Exponent, ...], bool]:
@@ -392,15 +382,15 @@ def _endpoint_ascent(M: np.ndarray, p: Exponent) -> AscentResult:
         value, j = norm_one_attained(M)
         x = np.zeros(n, dtype=np.complex128)
         x[j] = 1.0
-        return AscentResult(value, x, 0, True, (value,))
-    value, i = norm_inf_attained(M)
+        return AscentResult(value, x, 0, True)
+    i = norm_inf_attained(M)[1]
     row = np.conj(M[i])
     mod = np.abs(row)
     x = np.divide(row, mod, out=np.zeros(n, dtype=np.complex128), where=mod > 0.0)
     if not np.any(x):
         x = np.zeros(n, dtype=np.complex128)
         x[0] = 1.0
-    return AscentResult(vec_norm(M @ x, INF) / vec_norm(x, INF), x, 0, True, (value,))
+    return AscentResult(vec_norm(M @ x, INF) / vec_norm(x, INF), x, 0, True)
 
 
 def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0):
@@ -448,9 +438,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0):
         if e.value == 1.0 or e.is_inf:
             results.append(_endpoint_ascent(M, e))
             continue
-        (W, r, _), best = next(found)
-        xi = best.maximizer
-        trace = best.objective_trace
+        (W, r, _), (xi, iterations, converged) = next(found)
         if e.value < 2.0:
             # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at
             # least the dual objective, by the Hoelder equality of the duality
@@ -463,14 +451,11 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0):
             if not np.any(xi):
                 xi = np.ones(M.shape[0], dtype=np.complex128)
             xi = xi / vec_norm(xi, e)
-        else:
-            trace = trace[:-1]  # the value below replaces the working matrix's
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             value = vec_norm(M @ xi, e)
-            trace = tuple(np.ldexp(trace, -k).tolist())
         if not math.isfinite(value):
             raise ValueError("ascent value must be finite")
-        results.append(AscentResult(value, xi, best.iterations, best.converged, trace + (value,)))
+        results.append(AscentResult(value, xi, iterations, converged))
     return results[0] if one else tuple(results)
 
 

@@ -100,10 +100,11 @@ def _read_csv(text: str) -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix file into a validated read-only array (``as_matrix``);
-    the format comes from the suffix, else it is sniffed from the content."""
+    """Read a UTF-8 matrix file, with or without a byte-order mark, into a
+    validated read-only array (``as_matrix``); the format comes from the
+    suffix, else it is sniffed from the content."""
     p = Path(path)
-    text = p.read_text()
+    text = p.read_text(encoding="utf-8-sig")
     suffix = p.suffix.lower()
     if suffix == ".json":
         return _read_json(text)

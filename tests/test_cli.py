@@ -58,7 +58,7 @@ def test_generate_bad_seed_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bounds_runs_jacobi_once_for_all_exponents(tmp_path, monkeypatch, capsys):
+def test_bounds_runs_the_two_norm_once_for_all_exponents(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a.json"
     write_matrix(path, np.random.default_rng(61).standard_normal((6, 6)))
     calls = []

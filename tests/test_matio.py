@@ -106,6 +106,19 @@ def test_format_sniffing(tmp_path):
     assert np.array_equal(read_matrix(p), [[7.0, 1.0], [0.0, 2.0]])
 
 
+@pytest.mark.parametrize("name, text", [
+    ("bom.csv", "1,2\n3,4\n"),
+    ("bom.json", '{"rows": 2, "cols": 2, "entries": [[1, 0], [2, 0], [3, 0], [4, 0]]}'),
+    ("bom", '{"rows": 2, "cols": 2, "entries": [[1, 0], [2, 0], [3, 0], [4, 0]]}'),
+], ids=["csv", "json", "sniffed"])
+def test_utf8_byte_order_mark_is_read(tmp_path, name, text):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark; the
+    # suffix-less file is sniffed as JSON only once the mark is gone
+    p = tmp_path / name
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert np.array_equal(read_matrix(p), [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_write_matrix_format_follows_suffix(tmp_path):
     for name in ("m.JSON", "m.csv", "m.dat"):
         p = tmp_path / name

@@ -6,8 +6,9 @@ drawn often.  The nonnegative draws, which the Schur bound serves, also
 zero a whole column now and then.  The batched-ascent property draws real
 and complex matrices up to n = 6 with zero rows and columns, and tuples of
 exponents that mix p < 2, p > 2, the anchors and repeats; the same
-matrices serve the properties of the interpolation upper bound and of
-``profile``'s convexity diagnostics.  ``derandomize=True`` makes every run
+matrices serve the properties of the interpolation upper bound, of
+``profile``'s convexity diagnostics, of phased-permutation invariance and
+of direct sums.  ``derandomize=True`` makes every run
 try the same examples.  Each property runs ``certified_bound`` and so also checks
 that it does not raise.
 """
@@ -23,7 +24,7 @@ from conftest import same_ascent
 from opnorm.core import dual_exponent
 from opnorm.estimator import analyze, ascent_lower_bound, certified_bound, oracle_norm
 from opnorm.interp import la_envelope, profile
-from opnorm.structured import Circulant, densify
+from opnorm.structured import Circulant, densify, direct_sum, random_unitary_permutation
 
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -165,3 +166,26 @@ def test_profile_is_log_convex_and_unimodal_without_schur(A):
     prof = profile(A)
     assume(all(b.upper_provenance != "schur" for b in prof.bounds))
     assert prof.log_convex and prof.unimodal
+
+
+@_settings
+@given(_ascent_matrices(), _interior_exponents, st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 2 ** 32 - 1))
+def test_phased_permutations_keep_the_interval(A, p, left, right):
+    # phased permutations preserve every p-norm, so ||P A Q||_p = ||A||_p
+    n = A.shape[0]
+    P = densify(random_unitary_permutation(n, left))
+    Q = densify(random_unitary_permutation(n, right))
+    assert _overlap(certified_bound(A, p), certified_bound(P @ A @ Q, p))
+
+
+@_settings
+@given(_ascent_matrices(), _ascent_matrices(), _interior_exponents)
+def test_direct_sum_takes_the_largest_ends_of_its_parts(A1, A2, p):
+    # ||A1 (+) A2||_p = max(||A1||_p, ||A2||_p); the first part wins a tie
+    whole = certified_bound(direct_sum([A1, A2]), p)
+    parts = [certified_bound(A1, p), certified_bound(A2, p)]
+    lo = max(parts, key=lambda b: b.lower)
+    hi = max(parts, key=lambda b: b.upper)
+    assert (whole.lower, whole.lower_provenance) == (lo.lower, lo.lower_provenance)
+    assert (whole.upper, whole.upper_provenance) == (hi.upper, hi.upper_provenance)

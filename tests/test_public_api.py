@@ -1,5 +1,5 @@
-"""The public names: each module's ``__all__``, what ``opnorm`` re-exports, and
-the names each module imports."""
+"""The public names: each module's ``__all__``, what ``opnorm`` re-exports, the
+names each module imports, and that every private module-level name is read."""
 
 import ast
 import importlib
@@ -48,3 +48,38 @@ def test_no_module_imports_an_unused_name():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _stored_names(target):
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _stored_names(elt)
+
+
+def test_no_private_name_is_unused():
+    # a module-level _name (function, class or constant) must be read, as a
+    # name or an attribute, somewhere in the package; the import that brings
+    # it into another module is no read
+    defined, read = [], set()
+    for path in sorted(Path(opnorm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [n for t in node.targets for n in _stored_names(t)]
+            elif isinstance(node, ast.AnnAssign):
+                names = list(_stored_names(node.target))
+            else:
+                continue
+            defined += [f"{path.name}:{node.lineno} {n}" for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert [d for d in defined if d.split()[-1] not in read] == []
