@@ -43,6 +43,8 @@ class Exponent:
     value: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.value, (bool, np.bool_)):
+            raise ValueError(f"exponent must be a number, got {self.value!r}")
         v = float(self.value)
         if math.isnan(v) or v < 1.0:
             raise ValueError(f"exponent must lie in [1, inf], got {self.value!r}")
@@ -81,7 +83,7 @@ def as_exponent(p) -> Exponent:
         if tok == "inf":
             return INF
         return Exponent(float(tok))
-    return Exponent(float(p))
+    return Exponent(p)
 
 
 def dual_exponent(p) -> Exponent:

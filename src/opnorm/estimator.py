@@ -39,7 +39,7 @@ smaller.  ``certified_bound`` is one such query.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -582,6 +582,8 @@ def oracle_search(A, p, resolution: int = 360):
     the value is the maximum of ||A d||_p / ||d||_p over the angular grid
     (resolution points per angle, full sign-covering ranges) refined to an
     angular tolerance of 1e-8, hence always an attained lower bound.
+    ``resolution`` is an integer of at least 360, and the grid holds at most
+    2^20 directions (resolution <= 1024 for a 3 x 3 matrix).
     """
     M = as_square(A)
     p = as_exponent(p)
@@ -590,8 +592,10 @@ def oracle_search(A, p, resolution: int = 360):
     n = M.shape[0]
     if n not in (2, 3):
         raise ValueError("oracle supports sizes 2 and 3 only")
-    if resolution < 360:
-        raise ValueError("resolution must be at least 360")
+    limit = 2 ** (20 // (n - 1))  # the grid has resolution^(n-1) <= 2^20 directions
+    if (isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer))
+            or not 360 <= resolution <= limit):
+        raise ValueError(f"resolution must be an integer in [360, {limit}] for a {n}x{n} matrix")
     R = M.real
 
     def objective(d: np.ndarray) -> float:
@@ -675,7 +679,8 @@ class Analysis:
     blocks, the circulant factor of a Hankel layout, or the tensor core
     (whose factors are in ``tensor``).  ``own_anchors`` are the anchor norms
     the rule itself computed; the composite rules ("direct-sum", "hankel",
-    "tensor") leave it None and derive ``anchors`` from their parts.
+    "tensor") leave it None and read ``anchors`` off their own ``bounds`` at
+    1, 2 and inf, where every rule is exact.
     """
 
     matrix: np.ndarray
@@ -687,16 +692,12 @@ class Analysis:
     @cached_property
     def anchors(self) -> AnchorNorms:
         """Exact norms at p = 1, 2, inf; the squaring two-norm runs only for
-        "log-affine" and "general", every other rule gives them exactly."""
+        "log-affine" and "general", every other rule gives them exactly.  A
+        composite rule reads them off its own ``bounds``, which every rule
+        answers exactly at the anchors."""
         if self.own_anchors is not None:
             return self.own_anchors
-        sub = [astuple(a.anchors) for a in self.parts]
-        if self.rule == "tensor":
-            return AnchorNorms(*(tensor_norm(self.tensor, e, v)
-                                 for e, v in zip((1.0, 2.0, INF), sub[0])))
-        # a direct sum's anchor norms are the largest over its parts; a
-        # Hankel layout's are those of its circulant factor
-        return AnchorNorms(*map(max, zip(*sub)))
+        return AnchorNorms(*(b.upper for b in self.bounds((1.0, 2.0, INF))))
 
     @cached_property
     def self_adjoint(self) -> bool:
@@ -723,15 +724,18 @@ class Analysis:
         if rule in _EXACT_TAGS:
             exact = []
             for p in ps:
-                v = la_envelope(anchors, p) if rule == "log-affine" else anchors.n1
+                v = (anchors.n2 if p.value == 2.0 else
+                     la_envelope(anchors, p) if rule == "log-affine" else anchors.n1)
                 at_anchor = rule == "scalar" or p.value in (1.0, 2.0) or p.is_inf
                 exact.append(NormBound(p, v, v, _EXACT_TAGS[rule],
                                        "anchor" if at_anchor else "riesz-thorin"))
             return tuple(exact)
         if rule == "tensor":
-            return tuple(NormBound(p, *tensor_norm(self.tensor, p, (c.lower, c.upper)),
-                                   c.lower_provenance, c.upper_provenance)
-                         for p, c in zip(ps, self.parts[0].bounds(ps, seed)))
+            # the vector-norm factor ||alpha||_p ||beta||_q scales both ends
+            scales = (tensor_norm(self.tensor, p, 1.0) for p in ps)
+            return tuple(NormBound(p, f * c.lower, f * c.upper, c.lower_provenance,
+                                   c.upper_provenance)
+                         for p, f, c in zip(ps, scales, self.parts[0].bounds(ps, seed)))
         if self.parts:  # the blocks of a direct sum, or a Hankel layout's one factor
             out = []
             for p, parts in zip(ps, zip(*(a.bounds(ps, seed) for a in self.parts))):

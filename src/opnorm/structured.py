@@ -417,18 +417,10 @@ def row_embed(xi) -> np.ndarray:
     return M
 
 
-def tensor_norm(t: TensorRankOne, p, core_norm):
-    """Exact factor rule ||alpha||_p * ||beta||_q * core_norm.
-
-    ``core_norm`` may be a plain value or a (lower, upper) interval; either
-    way it is scaled by the vector-norm factor.
-    """
+def tensor_norm(t: TensorRankOne, p, core_norm: float) -> float:
+    """Exact factor rule ||alpha||_p * ||beta||_q * core_norm."""
     p = as_exponent(p)
-    fac = vec_norm(t.alpha, p) * vec_norm(t.beta, dual_exponent(p))
-    if isinstance(core_norm, tuple):
-        lo, hi = core_norm
-        return fac * float(lo), fac * float(hi)
-    return fac * float(core_norm)
+    return vec_norm(t.alpha, p) * vec_norm(t.beta, dual_exponent(p)) * float(core_norm)
 
 
 # ---------------------------------------------------------------------------

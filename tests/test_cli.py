@@ -203,6 +203,14 @@ def test_oracle_rejects_complex_and_large(tmp_path):
     assert run_cli("oracle", str(q), "--p", "2").returncode == 2
 
 
+def test_oracle_rejects_a_grid_too_large(magic_path):
+    # 4096^2 directions would take gigabytes; the check comes before the grid
+    r = run_cli("oracle", str(magic_path), "--resolution", "4096")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "resolution must be an integer in [360, 1024]" in r.stderr
+
+
 def test_missing_file_is_io_error():
     r = run_cli("bounds", "/nonexistent/m.json")
     assert r.returncode == 3

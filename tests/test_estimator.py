@@ -21,7 +21,7 @@ from opnorm.estimator import (
     oracle_search,
 )
 from opnorm.exact import anchor_norms
-from opnorm.interp import upper_bound
+from opnorm.interp import profile, upper_bound
 from opnorm.structured import (
     Circulant,
     HankelMod,
@@ -364,6 +364,42 @@ def test_oracle_validation():
         oracle_norm(np.array([[1j, 0], [0, 1]]), 2)
     with pytest.raises(ValueError):
         oracle_norm(np.eye(2), 2, resolution=100)
+
+
+class _GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, resolution, allowed", [
+    (3, 1024, True), (3, 1025, False), (3, 100000, False), (2, 2 ** 20, True),
+    (2, 2 ** 20 + 1, False), (2, 359, False), (3, 400.0, False), (3, "400", False),
+    (3, True, False), (2, np.int64(400), True),
+])
+def test_oracle_checks_its_resolution_before_building_a_grid(monkeypatch, n, resolution, allowed):
+    # the grid constructors fail if reached, so no large grid is ever built
+    def built(*args, **kwargs):
+        raise _GridBuilt
+
+    monkeypatch.setattr(np, "linspace", built)
+    monkeypatch.setattr(np, "meshgrid", built)
+    with pytest.raises(_GridBuilt if allowed else ValueError):
+        oracle_search(np.eye(n), 2.5, resolution=resolution)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_bool_exponents_are_rejected(flag):
+    # a bool is no exponent, though float(True) == 1.0
+    A = [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(ValueError, match="exponent must be a number"):
+        as_exponent(flag)
+    with pytest.raises(ValueError, match="exponent must be a number"):
+        certified_bound(A, flag)
+    with pytest.raises(ValueError, match="exponent must be a number"):
+        profile(A, grid=(flag, 2.0, INF))
+    with pytest.raises(ValueError, match="exponent must be a number"):
+        ascent_lower_bound(A, flag)
+    with pytest.raises(ValueError, match="exponent must be a number"):
+        ascent_lower_bound(A, (1.5, flag))
 
 
 def test_best_lower_bound_prefers_anchor_tag_on_tie():

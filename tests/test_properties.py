@@ -8,7 +8,9 @@ and complex matrices up to n = 6 with zero rows and columns, and tuples of
 exponents that mix p < 2, p > 2, the anchors and repeats; the same
 matrices serve the properties of the interpolation upper bound, of
 ``profile``'s convexity diagnostics, of phased-permutation invariance and
-of direct sums.  ``derandomize=True`` makes every run
+of direct sums.  Nearly log-affine draws (one dominant entry plus eps E)
+serve, alone, in direct sums and as tensor cores, the property that every
+rule is exact at p = 1, 2, inf.  ``derandomize=True`` makes every run
 try the same examples.  Each property runs ``certified_bound`` and so also checks
 that it does not raise.
 """
@@ -24,7 +26,13 @@ from conftest import same_ascent
 from opnorm.core import dual_exponent
 from opnorm.estimator import analyze, ascent_lower_bound, certified_bound, oracle_norm
 from opnorm.interp import la_envelope, profile
-from opnorm.structured import Circulant, densify, direct_sum, random_unitary_permutation
+from opnorm.structured import (
+    Circulant,
+    TensorRankOne,
+    densify,
+    direct_sum,
+    random_unitary_permutation,
+)
 
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -78,6 +86,40 @@ _exponent_tuples = st.lists(
 ).map(lambda ps: tuple(ps + ps[:1]))
 
 
+#: Nearly log-affine: n1 = ninf = 1 + 1e-10 pass the anchor test, and the
+#: envelope sqrt(n1 ninf) lies 1e-10 above ||A||_2 = 1 + 5e-21.
+_NEAR_LA = [[1.0, 1e-10, 0.0], [0.0, 0.0, 1e-10], [1e-10, 0.0, 0.0]]
+
+
+@st.composite
+def _near_log_affine(draw):
+    """Real or complex n x n, n <= 6: one dominant entry of modulus in
+    [1, 10] plus eps E, log10(eps) in [-13, -8] and |E_ij| <= 1."""
+    n = draw(st.integers(1, 6))
+    parts = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=n * n, max_size=n * n)
+    E = np.array(draw(parts), dtype=complex).reshape(n, n)
+    if draw(st.booleans()):
+        E += 1j * np.array(draw(parts)).reshape(n, n)
+    A = 10.0 ** draw(st.floats(-13.0, -8.0)) * E
+    phase = np.exp(1j * draw(st.sampled_from([0.0, np.pi, 0.7])))
+    A[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = phase * draw(st.floats(1.0, 10.0))
+    return A
+
+
+@st.composite
+def _near_log_affine_builds(draw):
+    """A near-log-affine draw alone, in a direct sum with another, or as
+    the core of a rank-one block tensor with factors of length 2."""
+    A = draw(_near_log_affine())
+    build = draw(st.sampled_from(["alone", "direct-sum", "tensor"]))
+    if build == "direct-sum":
+        return direct_sum([A, draw(_near_log_affine())])
+    if build == "tensor":
+        factor = st.lists(st.sampled_from([1.0, -2.0, 0.5j, 3.0 + 1j]), min_size=2, max_size=2)
+        return densify(TensorRankOne(draw(factor), draw(factor), A))
+    return A
+
+
 #: Coefficients 1, 2, 3 aligned but for a phase of 3e-9 on the last, so the
 #: witness test misses by 2e-9 of the largest modulus: the rule is
 #: "circulant", n2 rounds onto n1 = ninf = 6, and the envelope falls just
@@ -127,11 +169,27 @@ def test_scaling_scales_the_bounds(A, p, s):
 
 @_settings
 @given(_matrices(), st.sampled_from([1.0, 2.0, math.inf]))
+@example(_NEAR_LA, 2.0)
 def test_anchor_intervals_contain_the_numpy_norm(A, p):
     A = np.asarray(A)
     b = certified_bound(A, p)
     ref = float(np.linalg.norm(A, ord=p))
     assert b.lower <= ref * (1 + 1e-12) and b.upper >= ref * (1 - 1e-12)
+
+
+@_settings
+@given(_near_log_affine_builds())
+@example(np.array(_NEAR_LA))
+@example(direct_sum([_NEAR_LA, 0.5 * np.eye(2)]))
+def test_every_rule_is_exact_at_the_anchors(A):
+    # whichever rule fires, its interval at p = 1, 2, inf is the anchor
+    # norm itself, the same bits as ``anchors`` reports
+    analysis = analyze(A)
+    anchors = analysis.anchors
+    for b, want, p in zip(analysis.bounds((1.0, 2.0, math.inf)),
+                          (anchors.n1, anchors.n2, anchors.ninf), (1, 2, math.inf)):
+        assert (b.lower, b.upper) == (want, want)
+        assert math.isclose(want, float(np.linalg.norm(A, ord=p)), rel_tol=1e-12)
 
 
 @_settings
