@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -182,6 +183,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opnorm",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, as_square
+from .core import _ldexp, as_matrix, as_square
 
 __all__ = [
     "AnchorNorms",
@@ -129,9 +129,10 @@ def norm_two(A) -> float:
     top = float(np.abs(M).max())
     if top == 0.0:
         return 0.0
-    B = M / top
+    e = math.frexp(top)[1]
+    B = _ldexp(M, -e)  # exact power of two: a subnormal top neither over- nor underflows
     x = _top_direction(np.conj(B.T) @ B)[0]
-    return top * float(np.linalg.norm(B @ x) / np.linalg.norm(x))
+    return math.ldexp(float(np.linalg.norm(B @ x) / np.linalg.norm(x)), e)
 
 
 def anchor_norms(A) -> AnchorNorms:

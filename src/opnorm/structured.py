@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -59,6 +60,20 @@ __all__ = [
 #: Alignment tolerance of the circulant log-affine witness, relative to the
 #: largest coefficient modulus.
 _LA_ALIGN_TOL = 1e-9
+
+#: Slack of the block-size screen in ``as_tensor_rank_one``, in units of
+#: REL_TOL * top (top = max|A|).  A matrix that passes both REL_TOL tests of
+#: the full fit (each block within REL_TOL top of its multiple of the
+#: reference block; the scalar grid, whose entries are at most 1 + REL_TOL,
+#: within REL_TOL of its rank-one part) lies entrywise within
+#: d = (2 + REL_TOL) REL_TOL top of an exact tensor.  Rows r0 and r0 + m of
+#: that tensor are proportional; with row r0 holding top, the ratio read at
+#: top's column leaves a residual of at most 4 d / (1 - d / top), below
+#: 8.0001 REL_TOL top.  9 leaves room for the rounding of both fits.
+_SHIFT_SLACK = 9.0
+#: Absolute allowance, in units of the smallest subnormal, for the rounding
+#: of the full fit's products when the matrix itself is subnormal.
+_SHIFT_SUBNORMAL_ULPS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +122,12 @@ class _CyclicLayout:
         return self.coeffs.size
 
     @classmethod
+    @lru_cache(maxsize=32)  # bounded: one n x n table per (layout, n)
     def _index(cls, n: int) -> np.ndarray:
-        """n x n array of the coefficient index at each dense entry."""
-        return (np.arange(n)[None, :] + cls._sign * np.arange(n)[:, None]) % n
+        """Read-only n x n array of the coefficient index at each dense entry."""
+        index = (np.arange(n)[None, :] + cls._sign * np.arange(n)[:, None]) % n
+        index.flags.writeable = False
+        return index
 
     def dense(self) -> np.ndarray:
         return np.ascontiguousarray(self.coeffs[self._index(self.n)])
@@ -231,16 +249,18 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
 
     Scans the divisors of the matrix size for a block partition in which all
     blocks are scalar multiples of a common core and the scalar grid has rank
-    one.  Returns None for the zero matrix (every partition is degenerate).
+    one.  Only the block sizes that pass ``_shifted_rows_fit`` get the full
+    fit, so a matrix with no such size is rejected in a fixed number of array
+    passes.  Returns None for the zero matrix (every partition is
+    degenerate).
     """
     M = as_matrix(A)
     n_total, m_total = M.shape
     if n_total != m_total or n_total < 2 or not np.any(M):
         return None
-    for nb in range(2, n_total + 1):
-        if n_total % nb:
-            continue
-        m = n_total // nb
+    sizes = [n_total // nb for nb in range(2, n_total + 1) if n_total % nb == 0]
+    for m in _shifted_rows_fit(M, sizes):
+        nb = n_total // m
         blocks = M.reshape(nb, m, nb, m).swapaxes(1, 2)  # [i, j, m, m]
         fit = _common_multiple(blocks.reshape(nb * nb, m * m))
         if fit is None:
@@ -255,6 +275,29 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
             continue
         return TensorRankOne(u, np.conj(v), ref.reshape(m, m))
     return None
+
+
+def _shifted_rows_fit(M: np.ndarray, sizes: list[int]) -> list[int]:
+    """The block sizes m, in the given order, at which rows r0 and r0 + m
+    (mod n) are proportional to within ``_SHIFT_SLACK`` REL_TOL max|M|.
+
+    Row r0 holds the largest modulus, at column c0, and the ratio is read
+    there.  In a rank-one block tensor with m x m blocks, row r0 + m is row
+    r0 times alpha[i + 1] / alpha[i], so every size the full fit accepts
+    passes.  The rows are scaled by the power of two that brings the largest
+    modulus into [0.5, 1), so neither the ratio nor the residual under- or
+    overflows.
+    """
+    n = M.shape[0]
+    mags = np.abs(M)
+    r0, c0 = divmod(int(np.argmax(mags)), n)
+    top = float(mags[r0, c0])
+    k = -math.frexp(top)[1]
+    rows = _ldexp(M[(r0 + np.array([0, *sizes])) % n], k)
+    x, Y = rows[0], rows[1:]
+    resid = np.abs(Y - (Y[:, c0] / x[c0])[:, None] * x).max(axis=1)
+    tol = _SHIFT_SLACK * REL_TOL * math.ldexp(top, k) + math.ldexp(_SHIFT_SUBNORMAL_ULPS, k - 1074)
+    return [m for m, r in zip(sizes, resid.tolist()) if r <= tol]
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +330,70 @@ def doubly_balanced_norm(A) -> float | None:
     return None
 
 
-def circulant_two_norm(c: Circulant) -> float:
-    """Spectral norm: max over n-th roots of unity w of |sum_i coeffs[i] w^i|."""
-    n = c.n
+@lru_cache(maxsize=16)  # bounded: one n x n table per size
+def _fourier_grid(n: int) -> np.ndarray:
+    """Read-only n x n table exp(2 pi i k j / n) of ``circulant_two_norm``."""
     grid = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    return float(np.abs(grid @ c.coeffs).max())
+    grid.flags.writeable = False
+    return grid
+
+
+@lru_cache(maxsize=16)  # bounded: one n x n table per size
+def _root_powers(n: int) -> np.ndarray:
+    """Read-only n x n table whose row k holds the powers omega_k^i,
+    i = 0..n-1, of the root omega_k = exp(2 pi i k / n); each row is the
+    expression ``classify_circulant_la`` tests it with, evaluated alone."""
+    idx = np.arange(n)
+    table = np.empty((n, n), dtype=np.complex128)
+    for k in range(n):
+        table[k] = np.exp(2j * np.pi * k * idx / n)
+    table.flags.writeable = False
+    return table
+
+
+def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2**k, k) with k bringing the largest modulus into [0.5, 1);
+    k = 0 for the zero vector."""
+    k = -math.frexp(float(np.abs(a).max()))[1]
+    return _ldexp(a, k), k
+
+
+def circulant_two_norm(c: Circulant) -> float:
+    """Spectral norm: max over n-th roots of unity w of |sum_i coeffs[i] w^i|.
+
+    Evaluated on the coefficients scaled by a power of two, so the sums
+    neither under- nor overflow, and scaled back exactly.
+    """
+    unit, k = _unit_scale(c.coeffs)
+    return math.ldexp(float(np.abs(_fourier_grid(c.n) @ unit).max()), -k)
 
 
 def classify_circulant_la(c: Circulant) -> LAWitness:
-    """Search the n-th roots of unity for a logarithmic-affine witness."""
-    a = c.coeffs
-    n = c.n
-    mods = np.abs(a)
-    scale = float(mods.max())
-    if scale == 0.0:
+    """Search the n-th roots of unity for a logarithmic-affine witness.
+
+    All n roots are tested in one n x n evaluation on the coefficients
+    scaled by a power of two; the first root that passes is then checked
+    alone with that row, which is the witness returned.
+    """
+    a = _unit_scale(c.coeffs)[0]
+    amods = np.abs(a)
+    top = float(amods.max())
+    if top == 0.0:
         return LAWitness(True, 1.0 + 0.0j, 1.0 + 0.0j, 0.0, degenerate=True)
-    i0 = int(np.argmax(mods > 0.0))  # first nonzero coefficient
-    idx = np.arange(n)
-    bound = _LA_ALIGN_TOL * scale
-    for k in range(n):
-        omega_pows = np.exp(2j * np.pi * k * idx / n)
-        beta = a[i0] * omega_pows[i0] / mods[i0]
-        if float(np.abs(a * omega_pows - beta * mods).max()) <= bound:
-            omega = complex(np.exp(2j * np.pi * k / n))
-            return LAWitness(True, complex(beta), omega, float(mods.sum()))
+    i0 = int(np.argmax(amods > 0.0))  # first nonzero coefficient
+    bound = _LA_ALIGN_TOL * top
+    table = _root_powers(c.n)
+    aligned = a * table
+    betas = aligned[:, i0] / amods[i0]
+    resid = np.abs(aligned - betas[:, None] * amods).max(axis=1)
+    # the block and the lone row round alike up to a few ulps; the doubled
+    # bound only lets the lone row decide near the edge
+    for k in np.flatnonzero(resid <= 2.0 * bound).tolist():
+        omega_pows = table[k]
+        beta = a[i0] * omega_pows[i0] / amods[i0]
+        if float(np.abs(a * omega_pows - beta * amods).max()) <= bound:
+            omega = complex(np.exp(2j * np.pi * k / c.n))
+            return LAWitness(True, complex(beta), omega, float(np.abs(c.coeffs).sum()))
     return LAWitness(False)
 
 
@@ -341,12 +424,20 @@ def direct_sum(parts) -> np.ndarray:
 
 
 def split_direct_sum(A) -> list[np.ndarray]:
-    """Maximal block-diagonal decomposition along exactly-zero off blocks."""
+    """Maximal block-diagonal decomposition along exactly-zero off blocks.
+
+    k is a cut when no nonzero entry (i, j) has min(i, j) < k <= max(i, j).
+    With reach[t] the largest index that row t or column t touches with a
+    nonzero entry (-1 for none), that holds exactly when max(reach[:k]) < k.
+    """
     M = as_square(A)
+    if M[0, -1] != 0 or M[-1, 0] != 0:
+        return [M]  # a nonzero corner entry crosses every cut
     n = M.shape[0]
-    cuts = [k for k in range(1, n)
-            if not M[:k, k:].any() and not M[k:, :k].any()]
-    edges = [0, *cuts, n]
+    nz = M != 0
+    reach = np.where(nz | nz.T, np.arange(n), -1).max(axis=1)
+    cuts = np.flatnonzero(np.maximum.accumulate(reach[:-1]) < np.arange(1, n)) + 1
+    edges = [0, *cuts.tolist(), n]
     return [M[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 

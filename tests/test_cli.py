@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import opnorm.cli
 import opnorm.exact
 from opnorm.cli import main
 from opnorm.matio import read_matrix, write_matrix
@@ -235,3 +236,28 @@ def test_bounds_rejects_a_size_that_is_no_integer(tmp_path, size, n, capsys):
 
 def test_no_subcommand_usage_error():
     assert run_cli().returncode == 2
+
+
+def test_main_builds_the_parser_once(magic_path, capsys):
+    opnorm.cli._build_parser.cache_clear()
+    assert main(["classify", magic_path]) == 0
+    assert main(["bounds", magic_path, "--p", "3"]) == 0
+    assert opnorm.cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+def test_cached_parser_keeps_exit_codes_and_help(tmp_path, capsys):
+    fresh = opnorm.cli._build_parser.__wrapped__().format_help()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,zap\n")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == fresh
+        assert main(["bounds", str(bad)]) == 2
+        assert main(["bounds", str(tmp_path / "missing.json")]) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds"])
+        assert exc.value.code == 2
+        assert "required: matrix" in capsys.readouterr().err

@@ -3,9 +3,9 @@
 The recognizers' tolerances are relative to the largest modulus, and the
 anchors, the ascent and the structure fits neither under- nor overflow, so
 ``s * A`` gets the rule of ``A`` and bounds ``s`` times those of ``A`` from
-1e-300 up to 1e300.  Below that the entries of ``s * A`` are subnormal, so
-the reference is the same matrix brought back to modulus 1 by an exact
-power of two.
+1e-310 up to 1e300.  Where a subnormal-scale check is held to 1e-12, the
+reference is the same matrix brought back to modulus 1 by an exact power
+of two.
 """
 
 import math
@@ -21,7 +21,7 @@ from opnorm.exact import AnchorNorms
 from opnorm.interp import _unimodal, profile
 from opnorm.structured import Circulant, UnitaryPermutation, densify, magic3
 
-_SCALES = (1e-300, 1e-150, 1e-13, 1.0, 1e150, 1e300)
+_SCALES = (1e-310, 1e-309, 1e-300, 1e-150, 1e-13, 1.0, 1e150, 1e300)
 
 
 def _aligned_circulant(n: int = 5) -> np.ndarray:
