@@ -13,9 +13,12 @@ matmul per side and its own power per side, and every other operation of a
 step is one call over all rows.  So a query pays the per-step call overhead
 once, however many exponents it asks for, and costs the largest of their
 step counts rather than their sum.  Each row freezes on its own stopping
-test; there is no early stop across starts.  Each side of a step takes one
-modulus, one row maximum and one fractional power, which give both the row
-norms and the next direction.  The seeded random starts are built once per
+test, a relative gain of at most 1e-12.  Given an upper end U on the norm,
+as ``Analysis.bounds`` gives for signed and complex input, a start that
+trails its exponent's best also stops once its gain is below 2e-6 of the
+gap (U - obj) / U, while the best start climbs on to the 1e-12 test.  Each
+side of a step takes one modulus, one row maximum and one fractional power,
+which give both the row norms and the next direction.  The seeded random starts are built once per
 (n, count, seed) and cached as a read-only block.
 For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
@@ -113,6 +116,10 @@ class AscentResult:
     ``iterations`` is the number of steps the winning start took, and
     ``converged`` whether it stopped on the gain test rather than at the
     step cap or on a zero direction; both are 0 and True at p in {1, inf}.
+    With an upper end given (``Analysis.bounds`` on signed and complex
+    input), starts that trail may stop on the gap-scaled gain test, but the
+    winning start has stopped on the 1e-12 test, up to rounding, so
+    ``converged`` means the same there.
     """
 
     value: float
@@ -220,6 +227,11 @@ def _finite(v: np.ndarray) -> np.ndarray:
 #: which the row counts as converged.
 _ASCENT_MAX_ITER = 500
 _ASCENT_GAIN_TOL = 1e-12
+#: A row with an upper end U on its norm that trails its exponent's best
+#: also counts as converged once its relative gain is below
+#: _ASCENT_GAP_TOL (U - obj) / U, this fraction of the relative gap that its
+#: lower end still has to close.
+_ASCENT_GAP_TOL = 2e-6
 
 
 @lru_cache(maxsize=64)  # bounded: one small block per (n, count, seed)
@@ -271,19 +283,28 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     the first with the largest objective at its final iterate.  The caller
     recomputes the value on its own matrix.
 
-    A run is (working matrix W, exponent r >= 2, starts as rows).  All
-    starts are the rows of one k x n block, each run's rows together.  Each
-    step is x <- Phi_q(W* Phi_r(W x)) with per-row normalisation.  Every run
-    with rows left takes its own product per side and its own power with a
-    scalar exponent (``_image_step``, ``_preimage_step``); every other
-    operation is one call over all rows, reducing along rows.  So the bits
-    of a row do not depend on which other runs share the block.  A row
-    freezes when its objective is zero, gains less than 1e-12 relative, or
-    its next direction is zero; the others go on, up to 500 steps, and a run
-    whose rows have all frozen costs nothing.  An overflow in either product
-    makes a row norm nonfinite, which raises ValueError.
+    A run is (working matrix W, exponent r >= 2, starts as rows, U), with U
+    an upper end on ||W||_r or None.  All starts are the rows of one k x n
+    block, each run's rows together.  Each step is
+    x <- Phi_q(W* Phi_r(W x)) with per-row normalisation.  Every run with
+    rows left takes its own product per side and its own power with a scalar
+    exponent (``_image_step``, ``_preimage_step``); every other operation is
+    one call over all rows, reducing along rows, and a row is compared only
+    with rows of its own run.  So the bits of a run do not depend on which
+    other runs share the block.  A row freezes when its objective is zero,
+    its next direction is zero, or its objective gains no more than 1e-12
+    relative.  Where U is given, a row whose objective obj gains no more
+    than 2e-6 (U - obj) / U relative freezes too, a gain too small to move
+    the lower end against the gap left to U, unless no row of its run is
+    above it: that row climbs on, on the 1e-12 test for good, since an
+    ascent can linger at a small gain near a saddle for hundreds of steps
+    and then climb again.  So the start that wins has stopped on the 1e-12
+    test, and only starts that trail it stop early.  The rows go on up to
+    500 steps, and a run whose rows have all frozen costs nothing.  An
+    overflow in either product makes a row norm nonfinite, which raises
+    ValueError.
     """
-    counts = [len(X0) for _, _, X0 in runs]  # rows left per run
+    counts = [len(X0) for _, _, X0, _ in runs]  # rows left per run
     k, n = sum(counts), runs[0][0].shape[0]
     run_of = np.repeat(np.arange(len(runs)), counts)  # the run of each live row
     # The live rows lead every work buffer, each run's rows together, so the
@@ -293,12 +314,17 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     # per row, the powers that take a row sum to the objective and to the
     # r-norm of the next direction
     roots = np.empty((2, k))
+    # per row, tau and tau / U of the gap test, zero where U is None; None
+    # when no run has a U, which keeps the plain 1e-12 test
+    gaps = np.zeros((2, k)) if any(U is not None for *_, U in runs) else None
     steps = []  # per run: Y = X W^T, Z = D conj(W), and its two powers
     lo = 0
-    for (W, r, X0), c in zip(runs, counts):
+    for (W, r, X0, U), c in zip(runs, counts):
         np.divide(X0, _pnorms(X0, r, 1)[:, None], out=cbuf[0, lo:lo + c])
         q = dual_exponent(r).value
         roots[0, lo:lo + c], roots[1, lo:lo + c] = 1.0 / r.value, (q - 1.0) / q
+        if U is not None:
+            gaps[0, lo:lo + c], gaps[1, lo:lo + c] = _ASCENT_GAP_TOL, _ASCENT_GAP_TOL / U
         steps.append((W.T, np.conj(W), r.value - 2.0, q - 1.0))
         lo += c
 
@@ -325,6 +351,7 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     # against a zero previous objective the gain test at step 0 reads
     # obj == 0, and at every later step a zero objective stops too
     prev = np.zeros(k)
+    best = np.zeros(len(runs))  # per run, the largest objective of a row frozen by a gain test
     Xl, Y, D, Z, S, U, fwd, back, ups, downs = layout(k)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for step in range(_ASCENT_MAX_ITER):
@@ -340,7 +367,22 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
             # product is finite exactly when all are (inf * 0 is nan)
             if not math.isfinite(obj.dot(nrm)):
                 raise ValueError("ascent iterates must be finite")
-            done = obj - prev <= _ASCENT_GAIN_TOL * prev
+            gain = obj - prev
+            if gaps is None:
+                done = gain <= _ASCENT_GAIN_TOL * prev
+            else:
+                # tau - obj tau / U is tau (U - obj) / U, and 0 where U is
+                # None or the row has led
+                done = gain <= np.maximum(_ASCENT_GAIN_TOL, gaps[0] - obj * gaps[1]) * prev
+                if np.count_nonzero(done):
+                    # a row that passes the gap test alone while no row of its
+                    # run is above it climbs on, on the fine test for good
+                    peak = best.copy()
+                    np.maximum.at(peak, run_of, obj)
+                    lead = done & (gain > _ASCENT_GAIN_TOL * prev) & (obj >= peak[run_of])
+                    gaps[:, lead] = 0.0
+                    done &= ~lead
+                    np.maximum.at(best, run_of[done], obj[done])
             stop = done | (nrm == 0.0)
             if np.count_nonzero(stop):  # the cheapest test of a small mask
                 iters[live[stop]] = step + 1
@@ -353,6 +395,8 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
                     break
                 counts = np.bincount(run_of, minlength=len(runs)).tolist()
                 roots = roots[:, keep]
+                if gaps is not None:
+                    gaps = gaps[:, keep]
                 Xl, Y, D, Z, S, U, fwd, back, ups, downs = layout(live.size)
             np.divide(Xn, nrm[:, None], out=Xl)
             prev = obj
@@ -360,7 +404,7 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
             X[live] = Xl  # these rows moved on after their last objective
         winners = []
         lo = 0
-        for W, r, X0 in runs:
+        for W, r, X0, _ in runs:
             w = lo + int(np.argmax(_finite(_pnorms(X[lo:lo + len(X0)].dot(W.T), r, 1))))
             winners.append((X[w], int(iters[w]), bool(converged[w])))
             lo += len(X0)
@@ -393,7 +437,7 @@ def _endpoint_ascent(M: np.ndarray, p: Exponent) -> AscentResult:
     return AscentResult(vec_norm(M @ x, INF) / vec_norm(x, INF), x, 0, True)
 
 
-def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0):
+def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None):
     """Iterative ascent lower bound for the operator p-norm, at one exponent
     or at each of a sequence of them.
 
@@ -408,37 +452,48 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0):
     restarts-2 seeded random complex vectors.  Each step is one matmul per
     side and exponent; a row freezes once its relative objective gain drops
     below 1e-12 (at most 500 steps), and the first row of an exponent with
-    the largest objective wins.  Every start runs to its own stop; there is
-    no early stop across starts.  An exponent's result has the same bits
-    whichever exponents share the call.  At p in {1, inf} the exact
-    attaining coordinate formulas are used directly.
+    the largest objective wins.  Every start runs to its own stop.  An
+    exponent's result has the same bits whichever exponents share the call.
+    At p in {1, inf} the exact attaining coordinate formulas are used
+    directly.
+
+    ``_uppers``, for the engine only, gives an upper end U on ||A||_p per
+    exponent (one value for one exponent, a sequence in step with ``p``,
+    None for no end).  A start of an exponent with an end that trails the
+    exponent's best then also stops once its relative gain is below
+    2e-6 (U - obj) / U, a gain too small to move the lower end against the
+    gap left to U; the best start climbs on to the 1e-12 test.  None
+    everywhere, the default, is the 1e-12 test alone, bit for bit.
     """
     M = as_square(A)
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
         raise ValueError("restarts must be a positive integer")
     seed = _check_seed(seed)
     ps, one = _exponent_args(p)
-    climb = [e for e in ps if e.value != 1.0 and not e.is_inf]
+    ends = (None,) * len(ps) if _uppers is None else (_uppers,) if one else tuple(_uppers)
+    climb = [(e, u) for e, u in zip(ps, ends) if e.value != 1.0 and not e.is_inf]
     if climb:
         # the ascent runs on 2^k M, whose largest modulus lies in [1, 2): no
         # step then divides by a subnormal row maximum, and on a matrix whose
         # iterates stay in the normal range every step is the same bits at
-        # any power-of-two scale.  For 1 < p < 2 it runs on (2^k M*, q).
+        # any power-of-two scale.  For 1 < p < 2 it runs on (2^k M*, q),
+        # whose norm is the same, so an end U on ||M||_p scales to 2^k U.
         k = 1 - math.frexp(float(np.abs(M).max()))[1]
         work = {dual: _ldexp(adjoint(M) if dual else M, k)
-                for dual in {e.value < 2.0 for e in climb}}
+                for dual in {e.value < 2.0 for e, _ in climb}}
         runs = []
-        for e in climb:
+        for e, u in climb:
             W = work[e.value < 2.0]
             r = dual_exponent(e) if e.value < 2.0 else e
-            runs.append((W, r, _ascent_starts(W, r, int(restarts), seed)))
+            runs.append((W, r, _ascent_starts(W, r, int(restarts), seed),
+                         math.ldexp(u, k) if u is not None and u > 0.0 else None))
         found = iter(zip(runs, _block_ascent(runs)))
     results = []
     for e in ps:
         if e.value == 1.0 or e.is_inf:
             results.append(_endpoint_ascent(M, e))
             continue
-        (W, r, _), (xi, iterations, converged) = next(found)
+        (W, r, _, _), (xi, iterations, converged) = next(found)
         if e.value < 2.0:
             # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at
             # least the dual objective, by the Hoelder equality of the duality
@@ -459,7 +514,8 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0):
     return results[0] if one else tuple(results)
 
 
-def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, extra=()):
+def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, extra=(), *,
+                     _uppers=None):
     """Largest available certified lower bound with its provenance tag, and
     the ascent's maximizer (None when no ascent ran), as a (value, tag,
     maximizer) triple at one exponent, or a tuple of them, in order, at a
@@ -469,16 +525,24 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, ex
     (attained, like every candidate), so it is returned as "anchor" with no
     ascent.  Otherwise the candidates are the caller's ``extra`` (value, tag)
     pairs and the ascent, which runs once for all such exponents.
+    ``_uppers``, in the form of ``p``, passes each exponent's upper end to
+    ``ascent_lower_bound``, whose trailing starts then also stop on the
+    gap-scaled gain test; None, the default, keeps the 1e-12 test alone.
     """
     M = as_matrix(A)
     ps, one = _exponent_args(p)
     seed = _check_seed(seed)
     pinned = {} if anchors is None else {1.0: anchors.n1, 2.0: anchors.n2, math.inf: anchors.ninf}
-    climb = [e for e in ps if e.value not in pinned]
+    ends = (None,) * len(ps) if _uppers is None else (_uppers,) if one else tuple(_uppers)
+    climb = [(e, u) for e, u in zip(ps, ends) if e.value not in pinned]
     # a lone exponent takes the one-exponent form, whose result describes
-    # the whole call
-    ascents = iter(ascent_lower_bound(M, climb, seed=seed) if len(climb) > 1 else
-                   [ascent_lower_bound(M, e, seed=seed) for e in climb])
+    # the whole call; the ascent is looked up by its module name on every
+    # call, so a wrapper installed there sees every ascent
+    if len(climb) > 1:
+        es, us = zip(*climb)
+        ascents = iter(ascent_lower_bound(M, es, seed=seed, _uppers=us))
+    else:
+        ascents = iter([ascent_lower_bound(M, e, seed=seed, _uppers=u) for e, u in climb])
     out = []
     for e in ps:
         if e.value in pinned:
@@ -747,10 +811,14 @@ class Analysis:
         # a circulant's attaining root-of-unity eigenvector certifies the
         # spectral value as a lower bound at every exponent
         extra = ((anchors.n2, "eigen-certificate"),) if rule == "circulant" else ()
-        lows = best_lower_bound(self.matrix, ps, seed=seed, anchors=anchors, extra=extra)
+        ups = [upper_bound_from_anchors(anchors, p, self.self_adjoint) for p in ps]
+        # a signed or complex ascent start that trails stops once its gain is
+        # small against the gap to its upper end; a nonnegative one climbs to
+        # the fixed point, where the Schur test below is tight
+        lows = best_lower_bound(self.matrix, ps, seed=seed, anchors=anchors, extra=extra,
+                                _uppers=None if self.nonnegative else [u.value for u in ups])
         out = []
-        for p, (lo, ltag, x) in zip(ps, lows):
-            up = upper_bound_from_anchors(anchors, p, self.self_adjoint)
+        for p, (lo, ltag, x), up in zip(ps, lows, ups):
             if x is not None and self.nonnegative:
                 schur = _schur_upper(self.matrix, p, x)
                 if schur is not None and schur < up.value:

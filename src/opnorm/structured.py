@@ -381,16 +381,22 @@ def classify_circulant_la(c: Circulant) -> LAWitness:
     if top == 0.0:
         return LAWitness(True, 1.0 + 0.0j, 1.0 + 0.0j, 0.0, degenerate=True)
     i0 = int(np.argmax(amods > 0.0))  # first nonzero coefficient
+    # the pivot and its modulus scaled by the pivot's own power of two, which
+    # leaves every quotient's bits as they are, but keeps a subnormal pivot
+    # from overflowing the reciprocal that a complex division forms
+    e = -math.frexp(float(amods[i0]))[1]
+    pivot = complex(math.ldexp(a[i0].real, e), math.ldexp(a[i0].imag, e))
+    pmod = math.ldexp(float(amods[i0]), e)
     bound = _LA_ALIGN_TOL * top
     table = _root_powers(c.n)
     aligned = a * table
-    betas = aligned[:, i0] / amods[i0]
+    betas = pivot * table[:, i0] / pmod
     resid = np.abs(aligned - betas[:, None] * amods).max(axis=1)
     # the block and the lone row round alike up to a few ulps; the doubled
     # bound only lets the lone row decide near the edge
     for k in np.flatnonzero(resid <= 2.0 * bound).tolist():
         omega_pows = table[k]
-        beta = a[i0] * omega_pows[i0] / amods[i0]
+        beta = pivot * omega_pows[i0] / pmod
         if float(np.abs(a * omega_pows - beta * amods).max()) <= bound:
             omega = complex(np.exp(2j * np.pi * k / c.n))
             return LAWitness(True, complex(beta), omega, float(np.abs(c.coeffs).sum()))

@@ -21,7 +21,13 @@ from opnorm.estimator import (
     oracle_search,
 )
 from opnorm.exact import anchor_norms
-from opnorm.interp import profile, upper_bound
+from opnorm.interp import (
+    UpperEstimate,
+    default_grid,
+    profile,
+    upper_bound,
+    upper_bound_from_anchors,
+)
 from opnorm.structured import (
     Circulant,
     HankelMod,
@@ -310,6 +316,76 @@ def test_direct_sum_runs_one_ascent_per_unstructured_block(ascent_calls):
     assert [a.rule for a in analysis.parts] == ["general", "balanced", "general"]
     analysis.bounds((1.25, 2.0, 3.0, 8.0))
     assert len(ascent_calls) == 2
+
+
+def _hex(b):
+    return b.lower.hex(), b.upper.hex(), b.lower_provenance, b.upper_provenance
+
+
+def test_nonnegative_bounds_keep_the_fixed_point_ascent():
+    # a real nonnegative matrix climbs to the 1e-12 stop, where its Schur
+    # upper end is tight: the interval of the public ascent with the Schur
+    # test against the segment
+    rng = np.random.default_rng(70)
+    grid = default_grid()
+    for n in range(4, 17):
+        A = np.abs(rng.standard_normal((n, n)))
+        analysis = analyze(A)
+        assert analysis.rule == "general"
+        anchors = analysis.anchors
+        pinned = {1.0: anchors.n1, 2.0: anchors.n2, math.inf: anchors.ninf}
+        for p, b in zip(grid, analysis.bounds(grid)):
+            up = upper_bound_from_anchors(anchors, p, analysis.self_adjoint)
+            if p.value in pinned:
+                lo, tag = pinned[p.value], "anchor"
+            else:
+                ascent = ascent_lower_bound(A, p)
+                lo, tag = ascent.value, "boyd"
+                schur = estimator._schur_upper(as_matrix(A), p, ascent.maximizer)
+                if schur is not None and schur < up.value:
+                    up = UpperEstimate(max(schur, lo), "schur")
+            assert _hex(b) == (min(lo, up.value).hex(), up.value.hex(), tag, up.provenance)
+
+
+def test_gap_stop_loses_little_of_the_signed_interval(monkeypatch):
+    # signed and complex starts that trail stop once their gain is small
+    # against the gap to the upper end: fewer block steps, and a lower end
+    # that gives up at most 1e-4 of the interval against the 1e-12 stop.  At
+    # p in {1, 2, inf} the lower end is the exact anchor and no ascent runs.
+    steps = []
+    image_step = estimator._image_step
+    monkeypatch.setattr(estimator, "_image_step", lambda *a: steps.append(1) or image_step(*a))
+    rng = np.random.default_rng(71)
+    grid = [p for p in default_grid() if p.value not in (1.0, 2.0) and not p.is_inf]
+    fine = gapped = 0
+    for n in (4, 8, 16, 32, 48):
+        for A in (rng.standard_normal((n, n)), random_complex(rng, n, n)):
+            bounds = analyze(A).bounds(grid)
+            steps.clear()
+            full = ascent_lower_bound(A, grid)
+            fine += len(steps)
+            steps.clear()
+            ascent_lower_bound(A, grid, _uppers=[b.upper for b in bounds])
+            gapped += len(steps)
+            for a, b in zip(full, bounds):
+                assert b.lower >= a.value - 1e-4 * (b.upper - a.value)
+    assert gapped < 0.8 * fine
+
+
+def test_signed_bounds_keep_their_bits_whichever_exponents_share_the_query():
+    rng = np.random.default_rng(72)
+    ps = (3.0, 1.5, 3.0, 1.25, 8.0, 2.0, 1.5, INF, 5.0, 4.0 / 3.0)
+    for A in (random_complex(rng, 8, 8), random_complex(rng, 20, 20)):
+        for i, b in enumerate(analyze(A).bounds(ps)):
+            assert _hex(b) == _hex(analyze(A).bounds((ps[i],))[0])
+
+
+def test_public_ascent_keeps_the_fine_stop():
+    # the public ascent takes no upper end, so it keeps the 1e-12 stop and
+    # these bits
+    A = random_complex(np.random.default_rng(2026), 8, 8)
+    assert ascent_lower_bound(A, 3).value.hex() == "0x1.ee684fd72b752p+2"
+    assert ascent_lower_bound(A, 1.5).value.hex() == "0x1.c78ba06116d29p+2"
 
 
 def test_eigen_lower_bound_accepts_circulant_pair():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ def test_classify_circulant_la_frozen_cases():
     assert not classify_circulant_la(Circulant([1.0, 1j]))
     z = classify_circulant_la(Circulant([0.0, 0.0]))
     assert z and z.degenerate and z.norm == 0.0
+
+
+def test_classify_circulant_la_subnormal_pivot():
+    # the first nonzero coefficient is subnormal: the reciprocal of its
+    # modulus overflows, so the witness must be found without forming it
+    omega = np.exp(2j * np.pi / 3)
+    c = Circulant(np.array([1e-320, omega, 2.0 * omega ** 2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = classify_circulant_la(c)
+        rule = analyze(densify(c)).rule
+    assert w.is_la and rule == "circulant-la"
+    assert math.isfinite(w.beta.real) and math.isfinite(w.beta.imag)
+    assert w.beta == pytest.approx(1.0, abs=1e-12)
+    assert w.omega == pytest.approx(np.conj(omega), abs=1e-12)
+    assert w.norm == pytest.approx(3.0, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = classify_circulant_la(Circulant([1e-320, 1.0, 1.0]))
+    assert w.is_la and w.omega == 1.0 and w.beta == pytest.approx(1.0, abs=1e-15)
 
 
 def test_classify_circulant_la_constructed_witnesses():
