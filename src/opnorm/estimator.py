@@ -18,8 +18,8 @@ as ``Analysis.bounds`` gives for signed and complex input, a start that
 trails its exponent's best also stops once its gain is below 2e-6 of the
 gap (U - obj) / U, while the best start climbs on to the 1e-12 test.  Each
 side of a step takes one modulus, one row maximum and one fractional power,
-which give both the row norms and the next direction.  The seeded random starts are built once per
-(n, count, seed) and cached as a read-only block.
+which give both the row norms and the next direction.  The seeded random
+starts are built once per (n, count, seed) and cached as a read-only block.
 For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
 exponent >= 2.
@@ -315,7 +315,8 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     # r-norm of the next direction
     roots = np.empty((2, k))
     # per row, tau and tau / U of the gap test, zero where U is None; None
-    # when no run has a U, which keeps the plain 1e-12 test
+    # when no run has a U (nonnegative input, the public ascent), which
+    # skips the gap test's per-step work
     gaps = np.zeros((2, k)) if any(U is not None for *_, U in runs) else None
     steps = []  # per run: Y = X W^T, Z = D conj(W), and its two powers
     lo = 0
@@ -336,7 +337,8 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
         fwd, back, ups, downs, lo = [], [], [], [], 0
         for c, (WT, Wc, e_up, e_down) in zip(counts, steps):
             if c:
-                xs, ys, ds, zs, ss, us = (b[lo:lo + c] for b in (Xl, Y, D, Z, S, U))
+                xs, ys, ds, zs = cbuf[:, lo:lo + c]
+                ss, us = fbuf[:, lo:lo + c]
                 fwd.append((xs, WT, ys))
                 back.append((ds, Wc, zs))
                 ups.append((ss, e_up, us))
@@ -368,21 +370,20 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
             if not math.isfinite(obj.dot(nrm)):
                 raise ValueError("ascent iterates must be finite")
             gain = obj - prev
-            if gaps is None:
-                done = gain <= _ASCENT_GAIN_TOL * prev
-            else:
-                # tau - obj tau / U is tau (U - obj) / U, and 0 where U is
-                # None or the row has led
-                done = gain <= np.maximum(_ASCENT_GAIN_TOL, gaps[0] - obj * gaps[1]) * prev
-                if np.count_nonzero(done):
-                    # a row that passes the gap test alone while no row of its
-                    # run is above it climbs on, on the fine test for good
-                    peak = best.copy()
-                    np.maximum.at(peak, run_of, obj)
-                    lead = done & (gain > _ASCENT_GAIN_TOL * prev) & (obj >= peak[run_of])
-                    gaps[:, lead] = 0.0
-                    done &= ~lead
-                    np.maximum.at(best, run_of[done], obj[done])
+            # tau - obj tau / U is tau (U - obj) / U, and 0 where U is None or
+            # the row has led
+            tol = (_ASCENT_GAIN_TOL if gaps is None
+                   else np.maximum(_ASCENT_GAIN_TOL, gaps[0] - obj * gaps[1]))
+            done = gain <= tol * prev
+            if gaps is not None and np.count_nonzero(done):
+                # a row that passes the gap test alone while no row of its run
+                # is above it climbs on, on the fine test for good
+                peak = best.copy()
+                np.maximum.at(peak, run_of, obj)
+                lead = done & (gain > _ASCENT_GAIN_TOL * prev) & (obj >= peak[run_of])
+                gaps[:, lead] = 0.0
+                done &= ~lead
+                np.maximum.at(best, run_of[done], obj[done])
             stop = done | (nrm == 0.0)
             if np.count_nonzero(stop):  # the cheapest test of a small mask
                 iters[live[stop]] = step + 1
