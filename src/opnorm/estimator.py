@@ -30,13 +30,18 @@ caller's matrix, so subnormal-scale input neither over- nor underflows it.
 
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
-the log-affine anchor test) once per matrix; ``Analysis.bounds`` then
-combines what they found with interpolation upper bounds and the best
-available lower bound into one interval with provenance tags at each
-exponent, with one ascent for all of them.  For a real entrywise
-nonnegative matrix it also takes the Schur test at the ascent's maximizer,
-which is tight at the ascent's fixed point, as the upper bound where that is
-smaller.  ``certified_bound`` is one such query.
+the log-affine anchor test) once per matrix.  At each exponent its rule
+proposes lower candidates (attained value, tag) and upper candidates
+(certified value, tag): an exact rule one of each, a tensor its core's two
+ends scaled, a direct sum or Hankel layout every part's lower end and the
+largest part upper end.  Any other matrix proposes the anchor or the ascent
+(with a circulant's eigen certificate first) and the interpolation segment
+through the anchors, plus, for a real entrywise nonnegative matrix, the
+Schur test at the ascent's maximizer, which is tight at the ascent's fixed
+point.  One combine step in ``Analysis.bounds`` then picks the largest
+lower and the smallest upper candidate, checks them against each other and
+tags the interval, with one ascent for all exponents.  ``certified_bound``
+is one such query.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from .exact import (
 )
 from .interp import (
     NormBound,
-    UpperEstimate,
     _is_self_adjoint,
     la_envelope,
     la_report_from_anchors,
@@ -515,17 +519,18 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None):
     return results[0] if one else tuple(results)
 
 
-def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, extra=(), *,
+def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
                      _uppers=None):
-    """Largest available certified lower bound with its provenance tag, and
-    the ascent's maximizer (None when no ascent ran), as a (value, tag,
-    maximizer) triple at one exponent, or a tuple of them, in order, at a
-    sequence of exponents.
+    """Attained lower bound with its provenance tag, and the ascent's
+    maximizer (None when no ascent ran), as a (value, tag, maximizer) triple
+    at one exponent, or a tuple of them, in order, at a sequence of
+    exponents.
 
     At p in {1, 2, inf} with ``anchors`` given, the anchor is the norm itself
-    (attained, like every candidate), so it is returned as "anchor" with no
-    ascent.  Otherwise the candidates are the caller's ``extra`` (value, tag)
-    pairs and the ascent, which runs once for all such exponents.
+    (attained), so it is returned as "anchor" with no ascent.  Every other
+    exponent takes the ascent's value as "boyd"; the ascent runs once for all
+    of them.  Other lower candidates, such as a circulant's eigen
+    certificate, are the caller's to weigh (``Analysis.bounds``).
     ``_uppers``, in the form of ``p``, passes each exponent's upper end to
     ``ascent_lower_bound``, whose trailing starts then also stop on the
     gap-scaled gain test; None, the default, keeps the 1e-12 test alone.
@@ -548,11 +553,9 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, ex
     for e in ps:
         if e.value in pinned:
             out.append((pinned[e.value], "anchor", None))
-            continue
-        ascent = next(ascents)
-        # the earliest candidate wins a tie
-        value, tag = max([*extra, (ascent.value, "boyd")], key=lambda c: c[0])
-        out.append((value, tag, ascent.maximizer))
+        else:
+            ascent = next(ascents)
+            out.append((ascent.value, "boyd", ascent.maximizer))
     return out[0] if one else tuple(out)
 
 
@@ -745,7 +748,9 @@ class Analysis:
     (whose factors are in ``tensor``).  ``own_anchors`` are the anchor norms
     the rule itself computed; the composite rules ("direct-sum", "hankel",
     "tensor") leave it None and read ``anchors`` off their own ``bounds`` at
-    1, 2 and inf, where every rule is exact.
+    1, 2 and inf, where every rule is exact.  The rule only proposes
+    candidate ends at each exponent; ``bounds`` picks, checks and tags them
+    in one step, the same for every rule.
     """
 
     matrix: np.ndarray
@@ -782,55 +787,70 @@ class Analysis:
     def bounds(self, ps, seed: int = 0) -> tuple[NormBound, ...]:
         """Certified intervals at every exponent of ``ps``, in order; ``seed``,
         a nonnegative integer, drives the ascent, which runs once for all of
-        them.  Every exponent and the seed are validated first."""
+        them.  Every exponent and the seed are validated first.
+
+        One combine step builds every interval: of the rule's candidates it
+        takes the largest lower and the smallest upper end, the earliest
+        candidate winning a tie, with its tag.  A lower end above the upper
+        by more than 1e-9 relative raises RuntimeError; a smaller excess is
+        rounding of the attained value, and the lower end is clipped to the
+        upper.
+        """
         ps = tuple(map(as_exponent, ps))
         seed = _check_seed(seed)
+        out = []
+        for p, (lowers, uppers) in zip(ps, self._candidates(ps, seed)):
+            lo, lo_tag = max(lowers, key=lambda c: c[0])
+            up, up_tag = min(uppers, key=lambda c: c[0])
+            if lo > up * (1.0 + 1e-9):
+                raise RuntimeError(f"bound inconsistency at p={p}: lower {lo} exceeds upper {up}")
+            out.append(NormBound(p, min(lo, up), up, lo_tag, up_tag))
+        return tuple(out)
+
+    def _candidates(self, ps, seed):
+        """Per exponent of ``ps``, the rule's lower candidates (attained
+        value, tag) and upper candidates (certified value, tag), as a pair
+        of lists."""
         rule, anchors = self.rule, self.own_anchors
         if rule in _EXACT_TAGS:
-            exact = []
             for p in ps:
                 v = (anchors.n2 if p.value == 2.0 else
                      la_envelope(anchors, p) if rule == "log-affine" else anchors.n1)
                 at_anchor = rule == "scalar" or p.value in (1.0, 2.0) or p.is_inf
-                exact.append(NormBound(p, v, v, _EXACT_TAGS[rule],
-                                       "anchor" if at_anchor else "riesz-thorin"))
-            return tuple(exact)
-        if rule == "tensor":
+                yield [(v, _EXACT_TAGS[rule])], [(v, "anchor" if at_anchor else "riesz-thorin")]
+        elif rule == "tensor":
             # the vector-norm factor ||alpha||_p ||beta||_q scales both ends
-            scales = (tensor_norm(self.tensor, p, 1.0) for p in ps)
-            return tuple(NormBound(p, f * c.lower, f * c.upper, c.lower_provenance,
-                                   c.upper_provenance)
-                         for p, f, c in zip(ps, scales, self.parts[0].bounds(ps, seed)))
-        if self.parts:  # the blocks of a direct sum, or a Hankel layout's one factor
-            out = []
-            for p, parts in zip(ps, zip(*(a.bounds(ps, seed) for a in self.parts))):
-                lo_part = max(parts, key=lambda b: b.lower)
-                hi_part = max(parts, key=lambda b: b.upper)
-                out.append(NormBound(p, lo_part.lower, hi_part.upper,
-                                     lo_part.lower_provenance, hi_part.upper_provenance))
-            return tuple(out)
-        # a circulant's attaining root-of-unity eigenvector certifies the
-        # spectral value as a lower bound at every exponent
-        extra = ((anchors.n2, "eigen-certificate"),) if rule == "circulant" else ()
-        ups = [upper_bound_from_anchors(anchors, p, self.self_adjoint) for p in ps]
-        # a signed or complex ascent start that trails stops once its gain is
-        # small against the gap to its upper end; a nonnegative one climbs to
-        # the fixed point, where the Schur test below is tight
-        lows = best_lower_bound(self.matrix, ps, seed=seed, anchors=anchors, extra=extra,
-                                _uppers=None if self.nonnegative else [u.value for u in ups])
-        out = []
-        for p, (lo, ltag, x), up in zip(ps, lows, ups):
-            if x is not None and self.nonnegative:
-                schur = _schur_upper(self.matrix, p, x)
-                if schur is not None and schur < up.value:
-                    # schur is certified, so a lower bound above it exceeds
-                    # the norm by its rounding and is itself an upper bound
-                    up = UpperEstimate(max(schur, lo), "schur")
-            if lo > up.value * (1.0 + 1e-9):
-                raise RuntimeError(
-                    f"bound inconsistency at p={p}: lower {lo} exceeds upper {up.value}")
-            out.append(NormBound(p, min(lo, up.value), up.value, ltag, up.provenance))
-        return tuple(out)
+            for p, c in zip(ps, self.parts[0].bounds(ps, seed)):
+                f = tensor_norm(self.tensor, p, 1.0)
+                yield [(f * c.lower, c.lower_provenance)], [(f * c.upper, c.upper_provenance)]
+        elif self.parts:
+            # the blocks of a direct sum, or a Hankel layout's one factor: the
+            # norm is the largest part norm, so every part's lower end is a
+            # lower end, and the largest part upper end is the upper end
+            for parts in zip(*(a.bounds(ps, seed) for a in self.parts)):
+                yield ([(b.lower, b.lower_provenance) for b in parts],
+                       [max(((b.upper, b.upper_provenance) for b in parts), key=lambda c: c[0])])
+        else:
+            ups = [upper_bound_from_anchors(anchors, p, self.self_adjoint) for p in ps]
+            # a signed or complex ascent start that trails stops once its gain
+            # is small against the gap to its upper end; a nonnegative one
+            # climbs to the fixed point, where the Schur test below is tight
+            lows = best_lower_bound(self.matrix, ps, seed=seed, anchors=anchors,
+                                    _uppers=None if self.nonnegative else [u.value for u in ups])
+            for p, (lo, tag, x), up in zip(ps, lows, ups):
+                # x is None at the anchors, where lo is the norm itself; a
+                # circulant's attaining root-of-unity eigenvector certifies
+                # the spectral value as a lower end at every other exponent
+                lowers, uppers = [(lo, tag)], [up]
+                if x is not None and rule == "circulant":
+                    lowers.insert(0, (anchors.n2, "eigen-certificate"))
+                if x is not None and self.nonnegative:
+                    schur = _schur_upper(self.matrix, p, x)
+                    if schur is not None:
+                        # schur is certified, so a lower end above it exceeds
+                        # the norm by its rounding and is itself an upper end
+                        uppers.append((max(schur, lo), "schur"))
+                yield lowers, uppers
 
 
 def analyze(A) -> Analysis:

@@ -31,6 +31,7 @@ from opnorm.interp import (
 from opnorm.structured import (
     Circulant,
     HankelMod,
+    TensorRankOne,
     UnitaryPermutation,
     densify,
     direct_sum,
@@ -142,9 +143,8 @@ def test_best_lower_bound_sequence_matches_one_exponent_calls():
     rng = np.random.default_rng(64)
     A = rng.standard_normal((5, 5))
     anchors = anchor_norms(A)
-    extra = ((0.5, "eigen-certificate"),)
     ps = (1.0, 1.5, 2.0, 3.0, INF, 3.0)
-    for kw in ({}, {"anchors": anchors}, {"anchors": anchors, "extra": extra}):
+    for kw in ({}, {"anchors": anchors}):
         many = best_lower_bound(A, ps, **kw)
         assert len(many) == len(ps)
         for p, (value, tag, x) in zip(ps, many):
@@ -526,6 +526,49 @@ def test_certified_bound_circulant_branches():
         assert b.lower >= spectral * (1 - 1e-12)
         assert b.upper <= 2.0 * (1 + 1e-12)
         assert b.lower <= b.upper
+
+
+def test_circulant_lower_end_is_the_larger_of_certificate_and_ascent():
+    # the eigen certificate n2 is the first lower candidate at a non-anchor
+    # exponent, so it wins a tie with the ascent; at the anchors the anchor
+    # norm is the only one
+    rng = np.random.default_rng(73)
+    grid = default_grid()
+    tags = set()
+    for n in range(3, 17):
+        analysis = analyze(densify(Circulant(random_complex(rng, n))))
+        assert analysis.rule == "circulant"
+        an = analysis.anchors
+        ups = [upper_bound_from_anchors(an, p, analysis.self_adjoint).value for p in grid]
+        lows = best_lower_bound(analysis.matrix, grid, anchors=an, _uppers=ups)
+        for p, b, (value, tag, _) in zip(grid, analysis.bounds(grid), lows):
+            if p.value in (1.0, 2.0) or p.is_inf:
+                assert (b.lower, b.lower_provenance, tag) == (value, "anchor", "anchor")
+                continue
+            assert b.lower.hex() == max(an.n2, value).hex()
+            assert b.lower_provenance == ("eigen-certificate" if an.n2 >= value else "boyd")
+            tags.add(b.lower_provenance)
+    assert tags == {"eigen-certificate", "boyd"}
+
+
+def test_every_rule_raises_on_a_lower_end_above_its_upper_end(monkeypatch):
+    # with the segment halved off the anchors, the ascent's attained value
+    # lies above the upper end; the one combine step catches it for the
+    # matrix alone, as one block of a direct sum and as a tensor core
+    segment = estimator.upper_bound_from_anchors
+
+    def halved(anchors, p, self_adjoint=False):
+        up = segment(anchors, p, self_adjoint)
+        return up if up.provenance == "anchor" else up._replace(value=up.value / 2.0)
+
+    monkeypatch.setattr(estimator, "upper_bound_from_anchors", halved)
+    A = np.random.default_rng(74).standard_normal((6, 6))
+    for M, rule in ((A, "general"), (direct_sum([A, [[1.0]]]), "direct-sum"),
+                    (densify(TensorRankOne([1.0, -2.0], [1.0, 0.5], A)), "tensor")):
+        analysis = analyze(M)
+        assert analysis.rule == rule
+        with pytest.raises(RuntimeError, match="bound inconsistency"):
+            analysis.bounds((3,))
 
 
 def test_certified_bound_hankel_delegates_to_circulant_factor():

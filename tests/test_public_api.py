@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import opnorm
+from opnorm import estimator
 
 _MODULES = ("cli", "core", "estimator", "exact", "interp", "matio", "structured")
 
@@ -83,3 +84,16 @@ def test_no_private_name_is_unused():
                 read.add(node.attr)
     assert defined
     assert [d for d in defined if d.split()[-1] not in read] == []
+
+
+def test_estimator_builds_every_interval_in_one_combine_step():
+    # the rules propose candidates, and one step in Analysis.bounds picks
+    # them, checks them against each other and builds the interval
+    def called(node, name):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+    tree = ast.parse(inspect.getsource(estimator))
+    builds = [n for n in ast.walk(tree) if called(n, "NormBound")]
+    raises = [n for n in ast.walk(tree)
+              if isinstance(n, ast.Raise) and called(n.exc, "RuntimeError")]
+    assert (len(builds), len(raises)) == (1, 1)
