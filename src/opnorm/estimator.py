@@ -8,18 +8,22 @@ true attained lower bound regardless of convergence.  Each ``AscentResult``
 holds that value and maximizer, and the step count and convergence of the
 winning start; no per-step history is kept.  It takes one exponent
 or a sequence of them, and every start of every exponent runs as one row of
-one k x n block: the rows are grouped by exponent, each group takes its own
-matmul per side and its own power per side, and every other operation of a
-step is one call over all rows.  So a query pays the per-step call overhead
-once, however many exponents it asks for, and costs the largest of their
-step counts rather than their sum.  Each row freezes on its own stopping
-test, a relative gain of at most 1e-12.  Given an upper end U on the norm,
+one k x n block, grouped by working matrix (A for p > 2, A* for p < 2):
+each step takes one product per working matrix and one power per side,
+with each row's exponent in a full-shape array where the rows do not share
+one, and every other operation of a step is one call over all rows.  So a query pays the per-step call
+overhead once, however many exponents it asks for, and costs the largest of
+their step counts rather than their sum; an exponent's rows keep the bits
+they have alone.  Each row freezes on its own stopping test, a relative
+gain of at most 1e-12.  Given an upper end U on the norm,
 as ``Analysis.bounds`` gives for signed and complex input, a start that
 trails its exponent's best also stops once its gain is below 2e-6 of the
 gap (U - obj) / U, while the best start climbs on to the 1e-12 test.  Each
 side of a step takes one modulus, one row maximum and one fractional power,
 which give both the row norms and the next direction.  The seeded random
-starts are built once per (n, count, seed) and cached as a read-only block.
+starts are built once per (n, count, seed) and cached as a read-only block;
+the column norms that pick a start, the start normalisation and the final
+objectives are one pass each over every exponent.
 For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
 exponent >= 2.
@@ -49,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -164,49 +169,112 @@ _TINY = 5e-324
 #: Smallest normal double: a divisor clamped to it keeps every reciprocal
 #: finite, and leaves every normal modulus as it is.
 _NORMAL = float(np.finfo(np.float64).tiny)
+#: np.power takes these scalar exponents by np.sqrt and np.square, which
+#: round differently from its general power.
+_FAST_POWERS = {0.5: np.sqrt, 2.0: np.square}
 
 
-def _pnorms(Y: np.ndarray, p: Exponent, axis: int) -> np.ndarray:
-    """p-norm of every line of Y along ``axis``, with powers taken on
-    |y| / max|y| per line."""
+def _pnorms(Y: np.ndarray, p: Exponent) -> np.ndarray:
+    """p-norm of every column of Y, with powers taken on |y| / max|y| per
+    column."""
     a = np.abs(Y)
-    top = a.max(axis=axis)
+    top = a.max(axis=0)
     if p.is_inf:
         return top
-    scale = np.maximum(top, _TINY)
-    s = ((a / (scale[:, None] if axis else scale)) ** p.value).sum(axis=axis)
+    s = ((a / np.maximum(top, _TINY)) ** p.value).sum(axis=0)
     return top * s ** (1.0 / p.value)
 
 
-def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray,
-                powers) -> tuple[np.ndarray, np.ndarray]:
-    """Phi_r(y) / max|y|^(r-1) into the rows of D for every row y of Y,
-    r >= 2, and what the r-norm of y needs, from one modulus and one power
-    per group of rows.
+def _fast_stretches(exponents) -> list[tuple]:
+    """(np.sqrt or np.square, i, j) for each longest stretch i:j of
+    consecutive groups of rows whose exponents are all 0.5, or all 2."""
+    stretches = []
+    for i, e in enumerate(exponents):
+        f = _FAST_POWERS.get(e)
+        if f is None:
+            continue
+        if stretches and stretches[-1][0] is f and stretches[-1][2] == i:
+            stretches[-1] = (f, stretches[-1][1], i + 1)
+        else:
+            stretches.append((f, i, i + 1))
+    return stretches
 
-    ``powers`` lists (rows of S, r - 2, same rows of U) for each group,
-    which takes its power with that one scalar exponent.  With
+
+def _fast_rows(stretches, offsets, S: np.ndarray, P: np.ndarray) -> list[tuple]:
+    """(np.sqrt or np.square, rows of S, same rows of P) for each stretch of
+    ``_fast_stretches`` that holds rows, group i's rows (entries along the
+    first axis) starting at offsets[i]."""
+    fast = []
+    for f, i, j in stretches:
+        lo, hi = offsets[i], offsets[j]
+        if lo < hi:
+            fast.append((f, S[lo:hi], P[lo:hi]))
+    return fast
+
+
+def _powers(S: np.ndarray, P: np.ndarray, E, fast) -> np.ndarray:
+    """P = S ** E, with E one exponent, or each row's exponent in full
+    shape: bit for bit np.power(row, e) with each row's e a scalar.
+
+    np.power rounds a full-shape exponent array as it rounds a scalar, but
+    for the scalars 0.5 and 2, which it takes by np.sqrt and np.square; the
+    rows at those, listed in ``fast`` (``_fast_rows``), take these too.  P
+    must not share memory with S.
+    """
+    np.power(S, E, out=P)
+    for f, s, p in fast:
+        f(s, out=p)
+    return P
+
+
+def _group_powers(S: np.ndarray, P: np.ndarray, exponents, counts) -> np.ndarray:
+    """``_powers`` for a block S whose next counts[i] rows (entries along
+    its first axis) take exponents[i]: one scalar exponent where all groups
+    share it, as np.power takes it alone."""
+    if len(set(exponents)) == 1:
+        return np.power(S, exponents[0], out=P)
+    E = np.empty(S.shape)
+    E[...] = np.repeat(exponents, counts).reshape(-1, *(1,) * (S.ndim - 1))
+    offsets = list(accumulate(counts, initial=0))
+    return _powers(S, P, E, _fast_rows(_fast_stretches(exponents), offsets, S, P))
+
+
+def _row_pnorms(Y: np.ndarray, rs, counts) -> np.ndarray:
+    """The r-norm of every row of Y, whose next counts[i] rows take the
+    finite exponent rs[i]: bit for bit the norms that a power with the
+    scalar rs[i] gives each group, from one power of the whole block."""
+    a = np.abs(Y)
+    top = a.max(axis=1)
+    s = a / np.maximum(top, _TINY)[:, None]
+    sums = _group_powers(s, np.empty_like(s), rs, counts).sum(axis=1)
+    return top * _group_powers(sums, np.empty_like(sums), [1.0 / v for v in rs], counts)
+
+
+def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray,
+                E: np.ndarray, fast) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_r(y) / max|y|^(r-1) into the rows of D for every row y of Y,
+    r >= 2, and what the r-norm of y needs, from one modulus and one power.
+
+    E and ``fast`` give each row's r - 2 (``_powers``).  With
     m = max|y|, s = |y| / m in S and u = s^(r-2) in U, the direction is
     y u / m and the r-norm of y is m (sum u s s)^(1/r); returned are m and
-    sum u s s.  Here m is clamped to the smallest normal double, which
-    keeps u / m finite: at r = 2 a zero row has u = 0^0 = 1.
+    sum u s s.  Here m is clamped to the smallest normal double, which keeps
+    u / m finite: at r = 2 a zero row has u = 0^0 = 1.
     """
     a = np.abs(Y)
     m = np.maximum(a.max(axis=1), _NORMAL)
     scale = m[:, None]
     np.divide(a, scale, out=S)
-    for s, e, u in powers:
-        np.power(s, e, out=u)
+    _powers(S, U, E, fast)
     np.multiply(Y, U / scale, out=D)
     return m, (U * S * S).sum(axis=1)
 
 
 def _preimage_step(Z: np.ndarray, S: np.ndarray, V: np.ndarray,
-                   powers) -> tuple[np.ndarray, np.ndarray]:
+                   E: np.ndarray, fast) -> tuple[np.ndarray, np.ndarray]:
     """Phi_q(z) / max|z|^(q-1) for every row z of Z, and sum v s, whose power
     (q - 1) / q is its r-norm, r = q / (q - 1); from one modulus and one
-    power per group of rows, ``powers`` listing (rows of S, q - 1, same rows
-    of V) for each.
+    power, E and ``fast`` giving each row's q - 1 (``_powers``).
 
     With s = |z| / max|z| in S and v = s^(q-1) in V, the direction is
     z v / |z| (zero where z is zero) and its r-norm is (sum v s)^(1/r),
@@ -216,8 +284,7 @@ def _preimage_step(Z: np.ndarray, S: np.ndarray, V: np.ndarray,
     """
     a = np.abs(Z)
     np.divide(a, np.maximum(a.max(axis=1), _TINY)[:, None], out=S)
-    for s, e, v in powers:
-        np.power(s, e, out=v)
+    _powers(S, V, E, fast)
     return (V * S).sum(axis=1), Z * (V / np.maximum(a, _NORMAL))
 
 
@@ -261,24 +328,40 @@ def _orthant_starts(n: int) -> np.ndarray:
     return block
 
 
-def _ascent_starts(M: np.ndarray, r: Exponent, restarts: int, seed: int) -> np.ndarray:
-    """Start vectors as the rows of one k x n block.
+def _ascent_starts(M: np.ndarray, rs, restarts: int, seed: int) -> list[np.ndarray]:
+    """Start vectors on the working matrix M at each exponent of ``rs``, as
+    the rows of one k x n block per exponent.
 
     Deterministic: the ones vector, the unit vector of the largest-r-norm
     column, and — for real matrices of size <= 4 — one seed per sign orthant,
     since a real matrix attains its norm at a real vector and the ascent
     rarely crosses orthants.  Then the restarts-2 seeded complex random
-    starts of ``_random_starts``.
+    starts of ``_random_starts``.  The column norms at every exponent come
+    from one power of a block of n x n slices, one per distinct exponent,
+    bit for bit ``_pnorms`` at each.
     """
     n = M.shape[1]
     if restarts < 2:
-        return np.ones((1, n), dtype=np.complex128)
-    head = np.zeros((2, n), dtype=np.complex128)
-    head[0] = 1.0
-    head[1, int(np.argmax(_pnorms(M, r, 0)))] = 1.0
-    if n <= 4 and float(np.abs(M.imag).max()) == 0.0:
-        head = np.concatenate([head, _orthant_starts(n)])
-    return np.concatenate([head, _random_starts(n, restarts - 2, seed).T])
+        return [np.ones((1, n), dtype=np.complex128) for _ in rs]
+    vs = sorted({r.value for r in rs})
+    ones = [1] * len(vs)
+    a = np.abs(M)
+    top = a.max(axis=0)
+    s = a / np.maximum(top, _TINY)
+    s = np.broadcast_to(s, (len(vs), n, n)) if len(vs) > 1 else s[None]
+    sums = _group_powers(s, np.empty(s.shape), vs, ones).sum(axis=1)
+    roots = _group_powers(sums, np.empty(sums.shape), [1.0 / v for v in vs], ones)
+    column = dict(zip(vs, (top * roots).argmax(axis=1).tolist()))
+    tail = _random_starts(n, restarts - 2, seed).T
+    if n <= 4 and not M.imag.any():
+        tail = np.concatenate([_orthant_starts(n), tail])
+    blocks = []
+    for r in rs:
+        block = np.concatenate([np.zeros((2, n), dtype=np.complex128), tail])
+        block[0] = 1.0
+        block[1, column[r.value]] = 1.0
+        blocks.append(block)
+    return blocks
 
 
 def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
@@ -289,66 +372,95 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
 
     A run is (working matrix W, exponent r >= 2, starts as rows, U), with U
     an upper end on ||W||_r or None.  All starts are the rows of one k x n
-    block, each run's rows together.  Each step is
-    x <- Phi_q(W* Phi_r(W x)) with per-row normalisation.  Every run with
-    rows left takes its own product per side and its own power with a scalar
-    exponent (``_image_step``, ``_preimage_step``); every other operation is
-    one call over all rows, reducing along rows, and a row is compared only
-    with rows of its own run.  So the bits of a run do not depend on which
-    other runs share the block.  A row freezes when its objective is zero,
-    its next direction is zero, or its objective gains no more than 1e-12
-    relative.  Where U is given, a row whose objective obj gains no more
-    than 2e-6 (U - obj) / U relative freezes too, a gain too small to move
-    the lower end against the gap left to U, unless no row of its run is
-    above it: that row climbs on, on the 1e-12 test for good, since an
-    ascent can linger at a small gain near a saddle for hundreds of steps
-    and then climb again.  So the start that wins has stopped on the 1e-12
-    test, and only starts that trail it stop early.  The rows go on up to
-    500 steps, and a run whose rows have all frozen costs nothing.  An
-    overflow in either product makes a row norm nonfinite, which raises
-    ValueError.
+    block, each working matrix's rows together and within them each run's.
+    Each step is x <- Phi_q(W* Phi_r(W x)) with per-row normalisation, from
+    one product per working matrix and one power per side.  A product's
+    rows round as the rows of a product of their run alone, but for a run
+    down to one live row, whose lone product BLAS takes by gemv: that row
+    takes a product of its own.  The powers take the live rows' exponent as
+    a scalar where they share one, as a run alone does, and else each row's
+    from a full-shape array (``_powers``).  Every other operation is one
+    call over all rows, reducing along rows, and a row is compared only with
+    rows of its own run.  So the bits of a run do not depend on which other
+    runs share the block.  A row freezes when its objective is zero, its next
+    direction is zero, or its objective gains no more than 1e-12 relative.
+    Where U is given, a row whose objective obj gains no more than
+    2e-6 (U - obj) / U relative freezes too, a gain too small to move the
+    lower end against the gap left to U, unless no row of its run is above
+    it: that row climbs on, on the 1e-12 test for good, since an ascent can
+    linger at a small gain near a saddle for hundreds of steps and then
+    climb again.  So the start that wins has stopped on the 1e-12 test, and
+    only starts that trail it stop early.  The rows go on up to 500 steps,
+    and a run whose rows have all frozen costs nothing.  An overflow in
+    either product makes a row norm nonfinite, which raises ValueError.
     """
-    counts = [len(X0) for _, _, X0, _ in runs]  # rows left per run
-    k, n = sum(counts), runs[0][0].shape[0]
-    run_of = np.repeat(np.arange(len(runs)), counts)  # the run of each live row
+    # each working matrix's runs together, and each exponent's within them,
+    # so that the rows at a power's fast exponent stay one stretch
+    order = sorted(range(len(runs)), key=lambda i: (id(runs[i][0]), runs[i][1].value))
+    runs = [runs[i] for i in order]
+    groups = []  # per working matrix: W^T and conj(W), and its runs i:j
+    rs, qs, ends, total = [], [], [], []
+    for i, (W, r, X0, U) in enumerate(runs):
+        if i and W is runs[i - 1][0]:
+            groups[-1][2] = i + 1
+        else:
+            groups.append([(W.T, np.conj(W)), i, i + 1])
+        rs.append(r.value)
+        qs.append(dual_exponent(r).value)
+        ends.append(U)
+        total.append(len(X0))
+    counts = list(total)  # rows left per run
+    k, n = sum(total), runs[0][0].shape[0]
+    ups, downs = [r - 2.0 for r in rs], [q - 1.0 for q in qs]
+    gapped = any(U is not None for U in ends)
+    # per live row: the powers that take a row sum to the objective and to
+    # the r-norm of the next direction, tau and tau / U of the gap test
+    # (zero where U is None), and its exponents r - 2 and q - 1
+    rows = np.array([[1.0 / r for r in rs], [(q - 1.0) / q for q in qs],
+                     [0.0 if U is None else _ASCENT_GAP_TOL for U in ends],
+                     [0.0 if U is None else _ASCENT_GAP_TOL / U for U in ends], ups, downs])
+    rows = rows.repeat(counts, axis=1)
+    # per side: the one exponent of every row, which np.power takes as a
+    # scalar, or None and the stretches of rows that take a fast power
+    sides = [(e[0], None) if len(set(e)) == 1 else (None, _fast_stretches(e)) for e in (ups, downs)]
+    run_of = np.arange(len(runs)).repeat(counts)  # the run of each live row
     # The live rows lead every work buffer, each run's rows together, so the
-    # views that a run's products and powers use change only when a row
+    # views that the products and powers use change only when a row
     # freezes.  The rows of Xl start as the starts at r-norm 1.
-    cbuf, fbuf = np.empty((4, k, n), dtype=np.complex128), np.empty((2, k, n))
-    # per row, the powers that take a row sum to the objective and to the
-    # r-norm of the next direction
-    roots = np.empty((2, k))
-    # per row, tau and tau / U of the gap test, zero where U is None; None
-    # when no run has a U (nonnegative input, the public ascent), which
-    # skips the gap test's per-step work
-    gaps = np.zeros((2, k)) if any(U is not None for *_, U in runs) else None
-    steps = []  # per run: Y = X W^T, Z = D conj(W), and its two powers
-    lo = 0
-    for (W, r, X0, U), c in zip(runs, counts):
-        np.divide(X0, _pnorms(X0, r, 1)[:, None], out=cbuf[0, lo:lo + c])
-        q = dual_exponent(r).value
-        roots[0, lo:lo + c], roots[1, lo:lo + c] = 1.0 / r.value, (q - 1.0) / q
-        if U is not None:
-            gaps[0, lo:lo + c], gaps[1, lo:lo + c] = _ASCENT_GAP_TOL, _ASCENT_GAP_TOL / U
-        steps.append((W.T, np.conj(W), r.value - 2.0, q - 1.0))
-        lo += c
+    cbuf, fbuf = np.empty((4, k, n), dtype=np.complex128), np.empty((4, k, n))
+    np.concatenate([X0 for _, _, X0, _ in runs], out=cbuf[0])
+    np.divide(cbuf[0], _row_pnorms(cbuf[0], rs, counts)[:, None], out=cbuf[0])
 
-    def layout(rows):
-        """The leading rows of each buffer, for Xl, Y, D, Z, S and U, and
-        per run with rows left: its product views per side and its powers."""
-        Xl, Y, D, Z = cbuf[:, :rows]
-        S, U = fbuf[:, :rows]
-        fwd, back, ups, downs, lo = [], [], [], [], 0
-        for c, (WT, Wc, e_up, e_down) in zip(counts, steps):
-            if c:
-                xs, ys, ds, zs = cbuf[:, lo:lo + c]
-                ss, us = fbuf[:, lo:lo + c]
-                fwd.append((xs, WT, ys))
-                back.append((ds, Wc, zs))
-                ups.append((ss, e_up, us))
-                downs.append((ss, e_down, us))
-                lo += c
-        return Xl, Y, D, Z, S, U, fwd, back, ups, downs
+    def products(counts, offsets, src, dst, side):
+        """(rows of src, matrix, same rows of dst) of each product of one
+        side: one per working matrix with a run of two rows or more, then
+        one per run with one row."""
+        out = []
+        for mats, i, j in groups:
+            lo, hi, cs = offsets[i], offsets[j], counts[i:j]
+            ones = cs.count(1)
+            if hi - lo > ones:
+                out.append((src[lo:hi], mats[side], dst[lo:hi]))
+            if ones:
+                out += [(src[a:a + 1], mats[side], dst[a:a + 1])
+                        for a, c in zip(offsets[i:j], cs) if c == 1]
+        return out
+
+    def layout(m):
+        """The leading m rows of each buffer and of ``rows``, and the
+        products and the exponent and fast rows of each side's power."""
+        offsets = list(accumulate(counts, initial=0))
+        Xl, Y, D, Z = cbuf[:, :m]
+        S, U, *E = fbuf[:, :m]
+        powers = []
+        for (e, stretches), Es, es in zip(sides, E, rows[4:]):
+            if stretches is None:
+                powers += [e, []]
+            else:
+                Es[...] = es[:, None]
+                powers += [Es, _fast_rows(stretches, offsets, S, U)]
+        return (Xl, Y, D, Z, S, U, *rows[:4], products(counts, offsets, Xl, Y, 0),
+                products(counts, offsets, D, Z, 1), *powers)
 
     X = np.empty((k, n), dtype=np.complex128)  # each row's final iterate
     iters = np.full(k, _ASCENT_MAX_ITER)
@@ -358,17 +470,18 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     # obj == 0, and at every later step a zero objective stops too
     prev = np.zeros(k)
     best = np.zeros(len(runs))  # per run, the largest objective of a row frozen by a gain test
-    Xl, Y, D, Z, S, U, fwd, back, ups, downs = layout(k)
+    (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
+     fwd, back, e_up, up, e_down, down) = layout(k)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for step in range(_ASCENT_MAX_ITER):
             for x, w, y in fwd:
                 np.dot(x, w, out=y)
-            top, sums = _image_step(Y, S, U, D, ups)
-            obj = top * sums ** roots[0]
+            top, sums = _image_step(Y, S, U, D, e_up, up)
+            obj = top * sums ** root_obj
             for d, w, z in back:
                 np.dot(d, w, out=z)
-            sums, Xn = _preimage_step(Z, S, U, downs)
-            nrm = sums ** roots[1]
+            sums, Xn = _preimage_step(Z, S, U, e_down, down)
+            nrm = sums ** root_nrm
             # one check for both: every entry is >= 0 and small, so the dot
             # product is finite exactly when all are (inf * 0 is nan)
             if not math.isfinite(obj.dot(nrm)):
@@ -376,43 +489,47 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
             gain = obj - prev
             # tau - obj tau / U is tau (U - obj) / U, and 0 where U is None or
             # the row has led
-            tol = (_ASCENT_GAIN_TOL if gaps is None
-                   else np.maximum(_ASCENT_GAIN_TOL, gaps[0] - obj * gaps[1]))
+            tol = np.maximum(_ASCENT_GAIN_TOL, tau - obj * tau_u) if gapped else _ASCENT_GAIN_TOL
             done = gain <= tol * prev
-            if gaps is not None and np.count_nonzero(done):
+            if gapped and np.count_nonzero(done):
                 # a row that passes the gap test alone while no row of its run
                 # is above it climbs on, on the fine test for good
                 peak = best.copy()
                 np.maximum.at(peak, run_of, obj)
                 lead = done & (gain > _ASCENT_GAIN_TOL * prev) & (obj >= peak[run_of])
-                gaps[:, lead] = 0.0
-                done &= ~lead
+                if np.count_nonzero(lead):
+                    rows[2:4, lead] = 0.0
+                    done &= ~lead
                 np.maximum.at(best, run_of[done], obj[done])
             stop = done | (nrm == 0.0)
             if np.count_nonzero(stop):  # the cheapest test of a small mask
                 iters[live[stop]] = step + 1
                 converged[live[done]] = True
                 X[live[stop]] = Xl[stop]
+                for i in run_of[stop].tolist():
+                    counts[i] -= 1
                 keep = ~stop
                 live, run_of = live[keep], run_of[keep]
                 Xn, nrm, obj = Xn[keep], nrm[keep], obj[keep]
                 if not live.size:
                     break
-                counts = np.bincount(run_of, minlength=len(runs)).tolist()
-                roots = roots[:, keep]
-                if gaps is not None:
-                    gaps = gaps[:, keep]
-                Xl, Y, D, Z, S, U, fwd, back, ups, downs = layout(live.size)
+                rows = rows[:, keep]
+                (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
+                 fwd, back, e_up, up, e_down, down) = layout(live.size)
             np.divide(Xn, nrm[:, None], out=Xl)
             prev = obj
         else:
             X[live] = Xl  # these rows moved on after their last objective
-        winners = []
-        lo = 0
-        for W, r, X0, _ in runs:
-            w = lo + int(np.argmax(_finite(_pnorms(X[lo:lo + len(X0)].dot(W.T), r, 1))))
-            winners.append((X[w], int(iters[w]), bool(converged[w])))
-            lo += len(X0)
+        # each start's objective at its final iterate, from one product per
+        # working matrix
+        for x, w, y in products(total, list(accumulate(total, initial=0)), X, cbuf[1], 0):
+            np.dot(x, w, out=y)
+        objs = _finite(_row_pnorms(cbuf[1], rs, total))
+    winners, lo = [None] * len(runs), 0
+    for i, c in zip(order, total):
+        w = lo + int(np.argmax(objs[lo:lo + c]))
+        winners[i] = (X[w], int(iters[w]), bool(converged[w]))
+        lo += c
     return winners
 
 
@@ -454,10 +571,11 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None):
     The starts of every exponent run together as the rows of one k x n
     block (``_block_ascent``): for each, the ones vector, the unit vector of
     the largest-norm column, sign-orthant seeds for small real matrices, and
-    restarts-2 seeded random complex vectors.  Each step is one matmul per
-    side and exponent; a row freezes once its relative objective gain drops
-    below 1e-12 (at most 500 steps), and the first row of an exponent with
-    the largest objective wins.  Every start runs to its own stop.  An
+    restarts-2 seeded random complex vectors.  Each step is one product per
+    working matrix (A, or A* for p < 2) and one power per side, whatever
+    the number of exponents; a row freezes once its relative objective gain
+    drops below 1e-12 (at most 500 steps), and the first row of an exponent
+    with the largest objective wins.  Every start runs to its own stop.  An
     exponent's result has the same bits whichever exponents share the call.
     At p in {1, inf} the exact attaining coordinate formulas are used
     directly.
@@ -486,12 +604,13 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None):
         k = 1 - math.frexp(float(np.abs(M).max()))[1]
         work = {dual: _ldexp(adjoint(M) if dual else M, k)
                 for dual in {e.value < 2.0 for e, _ in climb}}
-        runs = []
-        for e, u in climb:
-            W = work[e.value < 2.0]
-            r = dual_exponent(e) if e.value < 2.0 else e
-            runs.append((W, r, _ascent_starts(W, r, int(restarts), seed),
-                         math.ldexp(u, k) if u is not None and u > 0.0 else None))
+        pairs = [(work[e.value < 2.0], dual_exponent(e) if e.value < 2.0 else e, u)
+                 for e, u in climb]
+        starts = {id(W): iter(_ascent_starts(W, [r for V, r, _ in pairs if V is W],
+                                             int(restarts), seed))
+                  for W in work.values()}
+        runs = [(W, r, next(starts[id(W)]),
+                 math.ldexp(u, k) if u is not None and u > 0.0 else None) for W, r, u in pairs]
         found = iter(zip(runs, _block_ascent(runs)))
     results = []
     for e in ps:
@@ -672,7 +791,7 @@ def oracle_search(A, p, resolution: int = 360):
     if n == 2:
         thetas = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
         D = np.stack([np.cos(thetas), np.sin(thetas)])
-        vals = _pnorms(R @ D, p, 0) / _pnorms(D, p, 0)
+        vals = _pnorms(R @ D, p) / _pnorms(D, p)
         i = int(np.argmax(vals))
         step = 2.0 * np.pi / resolution
 
@@ -693,7 +812,7 @@ def oracle_search(A, p, resolution: int = 360):
         (np.sin(TH) * np.sin(PH)).ravel(),
         np.cos(TH).ravel(),
     ])
-    vals = _pnorms(R @ D, p, 0) / _pnorms(D, p, 0)
+    vals = _pnorms(R @ D, p) / _pnorms(D, p)
     i = int(np.argmax(vals))
     th0, ph0 = float(TH.ravel()[i]), float(PH.ravel()[i])
     v0 = float(vals[i])

@@ -67,9 +67,10 @@ _LA_ALIGN_TOL = 1e-9
 #: reference block; the scalar grid, whose entries are at most 1 + REL_TOL,
 #: within REL_TOL of its rank-one part) lies entrywise within
 #: d = (2 + REL_TOL) REL_TOL top of an exact tensor.  Rows r0 and r0 + m of
-#: that tensor are proportional; with row r0 holding top, the ratio read at
-#: top's column leaves a residual of at most 4 d / (1 - d / top), below
-#: 8.0001 REL_TOL top.  9 leaves room for the rounding of both fits.
+#: that tensor are proportional, and so are the m-segments of row r0; with
+#: row r0 holding top, a ratio read at top's column leaves a residual of at
+#: most 4 d / (1 - d / top), below 8.0001 REL_TOL top.  9 leaves room for
+#: the rounding of both fits.
 _SHIFT_SLACK = 9.0
 #: Absolute allowance, in units of the smallest subnormal, for the rounding
 #: of the full fit's products when the matrix itself is subnormal.
@@ -249,9 +250,11 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
 
     Scans the divisors of the matrix size for a block partition in which all
     blocks are scalar multiples of a common core and the scalar grid has rank
-    one.  Only the block sizes that pass ``_shifted_rows_fit`` get the full
-    fit, so a matrix with no such size is rejected in a fixed number of array
-    passes.  Returns None for the zero matrix (every partition is
+    one.  Only the block sizes that pass ``_block_sizes_fit`` get the full
+    fit, so a matrix with no such size is rejected without one: in a fixed
+    number of array passes, and one more per size that passes the row test
+    of ``_block_sizes_fit`` alone.  The segment test of a size runs only
+    once every larger size has failed.  Returns None for the zero matrix (every partition is
     degenerate).
     """
     M = as_matrix(A)
@@ -259,7 +262,7 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
     if n_total != m_total or n_total < 2 or not np.any(M):
         return None
     sizes = [n_total // nb for nb in range(2, n_total + 1) if n_total % nb == 0]
-    for m in _shifted_rows_fit(M, sizes):
+    for m in _block_sizes_fit(M, sizes):
         nb = n_total // m
         blocks = M.reshape(nb, m, nb, m).swapaxes(1, 2)  # [i, j, m, m]
         fit = _common_multiple(blocks.reshape(nb * nb, m * m))
@@ -277,16 +280,21 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
     return None
 
 
-def _shifted_rows_fit(M: np.ndarray, sizes: list[int]) -> list[int]:
-    """The block sizes m, in the given order, at which rows r0 and r0 + m
-    (mod n) are proportional to within ``_SHIFT_SLACK`` REL_TOL max|M|.
+def _block_sizes_fit(M: np.ndarray, sizes: list[int]):
+    """Yield the block sizes m, in the given order, at which rows r0 and
+    r0 + m (mod n) are proportional, and so are the m-segments of row r0,
+    each to within ``_SHIFT_SLACK`` REL_TOL max|M|.
 
-    Row r0 holds the largest modulus, at column c0, and the ratio is read
-    there.  In a rank-one block tensor with m x m blocks, row r0 + m is row
-    r0 times alpha[i + 1] / alpha[i], so every size the full fit accepts
-    passes.  The rows are scaled by the power of two that brings the largest
-    modulus into [0.5, 1), so neither the ratio nor the residual under- or
-    overflows.
+    Row r0 holds the largest modulus, at column c0, and every ratio is read
+    at c0: against row r0 for row r0 + m, and against the segment holding
+    c0, at c0's place within it, for each segment.  In a rank-one block
+    tensor with m x m blocks, row r0 + m is row r0 times
+    alpha[i + 1] / alpha[i], and segment j of row r0 is the segment holding
+    c0 times conj(beta[j] / beta[j0]), so every size the full fit accepts
+    passes both tests.  An outer product u v* passes the first at every
+    size, the second only where the segments of v are proportional.  The
+    rows are scaled by the power of two that brings the largest modulus into
+    [0.5, 1), so neither the ratio nor the residual under- or overflows.
     """
     n = M.shape[0]
     mags = np.abs(M)
@@ -297,7 +305,16 @@ def _shifted_rows_fit(M: np.ndarray, sizes: list[int]) -> list[int]:
     x, Y = rows[0], rows[1:]
     resid = np.abs(Y - (Y[:, c0] / x[c0])[:, None] * x).max(axis=1)
     tol = _SHIFT_SLACK * REL_TOL * math.ldexp(top, k) + math.ldexp(_SHIFT_SUBNORMAL_ULPS, k - 1074)
-    return [m for m, r in zip(sizes, resid.tolist()) if r <= tol]
+    for m, r in zip(sizes, resid.tolist()):
+        if r > tol:
+            continue
+        if m > 1:  # segments of length 1 are always proportional
+            segments = x.reshape(-1, m)
+            j0, t0 = divmod(c0, m)
+            ref = segments[j0]
+            if float(np.abs(segments - (segments[:, t0] / ref[t0])[:, None] * ref).max()) > tol:
+                continue
+        yield m
 
 
 # ---------------------------------------------------------------------------

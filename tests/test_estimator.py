@@ -197,7 +197,7 @@ def test_block_ascent_matches_a_loop_over_its_starts():
     cases = [A for n in (3, 5, 8) for A in (rng.standard_normal((n, n)), random_complex(rng, n, n))]
     for A in [*cases, holes, holes * (1.0 - 0.5j)]:
         for p in (2.0, 2.5, 4.0, 8.0):
-            starts = _ascent_starts(as_matrix(A), as_exponent(p), 8, 0)
+            starts = _ascent_starts(as_matrix(A), [as_exponent(p)], 8, 0)[0]
             want = max(_loop_ascent(A, p, x) for x in starts)
             assert ascent_lower_bound(A, p).value == pytest.approx(want, rel=1e-12)
 
@@ -290,12 +290,35 @@ def test_preimage_step_clamps_only_subnormal_moduli():
     normal = a >= np.finfo(float).tiny
     for q in (1.001, 1.5, 2.0):
         S, V = np.empty(Z.shape), np.empty(Z.shape)
-        sums, X = estimator._preimage_step(Z, S, V, [(S, q - 1.0, V)])
+        sums, X = estimator._preimage_step(Z, S, V, q - 1.0, [])
         nrm = sums ** ((q - 1.0) / q)
         assert np.isfinite(nrm).all() and np.isfinite(X).all()
         v = (a / a.max(axis=1)[:, None]) ** (q - 1.0)
         assert np.array_equal(X[normal], (Z * (v / np.where(normal, a, 1.0)))[normal])
         assert not X[a == 0.0].any()
+
+
+def test_block_power_matches_scalar_powers_row_by_row():
+    # one np.power with a full-shape exponent array, and np.sqrt and
+    # np.square on the stretches of rows at 0.5 and 2, give every row the
+    # bits of np.power at its own scalar exponent, zero and subnormal
+    # entries included; rows that share one exponent take it as a scalar
+    rng = np.random.default_rng(73)
+    exps = [0.5, 2.0, 1.0, 3.0, 6.0, 1.0 / 3.0, 0.25, 1.0 / 7.0]
+    for order, counts, shape in ((exps, [3, 2, 1, 4, 2, 3, 1, 2], (9,)),
+                                 (exps[::-1], [2, 0, 3, 1, 1, 2, 4, 2], (9,)),
+                                 ([0.5, 0.5, 2.0, 3.0, 2.0, 2.0], [2, 1, 3, 2, 0, 2], (9,)),
+                                 ([0.5, 3.0, 2.0, 1.0 / 7.0], [1, 1, 1, 1], (4, 5)),
+                                 ([3.0, 0.5], [0, 4], (9,)), ([2.0], [4], (9,))):
+        S = rng.random((sum(counts), *shape))
+        S[rng.random(S.shape) < 0.2] = 0.0
+        S[rng.random(S.shape) < 0.2] = 5e-320
+        S[:, 0] = 0.0
+        S[:, -1] = 5e-320
+        P = np.empty_like(S)
+        estimator._group_powers(S, P, order, counts)
+        e = np.repeat(order, counts)
+        assert np.array_equal(P, [np.power(row, float(x)) for row, x in zip(S, e)])
 
 
 def test_bounds_run_one_ascent_for_all_exponents(ascent_calls):

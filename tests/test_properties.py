@@ -192,10 +192,36 @@ def test_every_rule_is_exact_at_the_anchors(A):
         assert math.isclose(want, float(np.linalg.norm(A, ord=p)), rel_tol=1e-12)
 
 
+#: The climb exponents of the default profile grid.  3 and 1.5 take their
+#: preimage power at 0.5, 4 and 4/3 their image power at 2: the rows that
+#: np.power would take by np.sqrt and np.square.
+_PROFILE_CLIMB = (3.0, 1.5, 4.0, 4.0 / 3.0, 5.0, 8.0, 8.0 / 7.0)
+#: A real nonnegative and a complex matrix on which, at _PROFILE_CLIMB, a
+#: block power that skipped the fast rows changes bits; on the first, and
+#: on the third at (3, 5), the winning start of a run is its last live row
+#: while another run still has several, and a product that took that row
+#: with the other rows changes bits.
+_FAST_NONNEGATIVE = [[1, 0, 0, 4, 4, 1], [2, 1, 0, 3, 3, 1], [3, 3, 3, 4, 1, 0],
+                     [4, 2, 4, 0, 1, 2], [0, 3, 3, 1, 4, 3], [2, 3, 3, 1, 2, 1]]
+_FAST_COMPLEX = [[-1.25 - 0.25j, -0.25 - 1j, 0.5 - 0.25j, 1.25 - 1.25j, 0],
+                 [-0.5, -0.75 - 0.25j, 0.75 - 1j, 1.75 - 0.5j, 0.25 - 1j],
+                 [-1.25 - 1.25j, -1 + 0.25j, 1.5 - 1j, 0.25 + 1.25j, -1.75 + 0.75j],
+                 [-2j, -1.25 + 0.25j, -0.75 - 1j, -0.5, -0.75],
+                 [0.5 - 2j, -0.25j, -0.5 - 0.25j, 0.5 + 1j, 0.75 - 1.25j]]
+_LONE_ROW = [[4 - 4j, -3, -4 + 2j, 1 - 2j, -4 + 3j],
+             [-2 + 4j, -2, 4 - 1j, 4, -1 - 3j],
+             [3 - 4j, 4 - 1j, -1 - 1j, 4 + 2j, 3 - 3j],
+             [1 + 2j, -2 - 3j, -2 - 4j, -1 + 4j, 4 + 4j],
+             [-3 - 2j, -1 + 2j, 4 - 3j, 2 - 4j, 3 - 2j]]
+
+
 @_settings
 @given(_ascent_matrices(), _exponent_tuples)
 @example(np.zeros((3, 3)), (3.0, 2.0, 1.5, 3.0))
 @example(np.array(_SPARSE, dtype=complex), (1.001, 1000.0, 2.0, math.inf, 1.0))
+@example(np.array(_FAST_NONNEGATIVE, dtype=float), _PROFILE_CLIMB)
+@example(np.array(_FAST_COMPLEX), _PROFILE_CLIMB)
+@example(np.array(_LONE_ROW), (3.0, 5.0))
 def test_batched_ascent_matches_one_exponent_calls_bit_for_bit(A, ps):
     many = ascent_lower_bound(A, ps)
     assert len(many) == len(ps)
