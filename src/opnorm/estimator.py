@@ -18,7 +18,11 @@ they have alone.  Each row freezes on its own stopping test, a relative
 gain of at most 1e-12.  Given an upper end U on the norm,
 as ``Analysis.bounds`` gives for signed and complex input, a start that
 trails its exponent's best also stops once its gain is below 2e-6 of the
-gap (U - obj) / U, while the best start climbs on to the 1e-12 test.  Each
+gap (U - obj) / U, while the best start climbs on to the 1e-12 test.  With
+U the engine also gives a floor L, the largest lower end it holds without
+an ascent (a circulant's eigen certificate, a direct sum's exactly pinned
+blocks): the best starts at L, so starts below L trail and stop early, and
+where L > U no start takes a step.  Each
 side of a step takes one modulus, one row maximum and one fractional power,
 which give both the row norms and the next direction.  The seeded random
 starts are built once per (n, count, seed) and cached as a read-only block;
@@ -42,7 +46,9 @@ largest part upper end.  Any other matrix proposes the anchor or the ascent
 (with a circulant's eigen certificate first) and the interpolation segment
 through the anchors, plus, for a real entrywise nonnegative matrix, the
 Schur test at the ascent's maximizer, which is tight at the ascent's fixed
-point.  One combine step in ``Analysis.bounds`` then picks the largest
+point.  Lower ends that need no ascent floor it: the eigen certificate, and
+in a direct sum the lower ends of the blocks that run none, bounded first.
+One combine step in ``Analysis.bounds`` then picks the largest
 lower and the smallest upper candidate, checks them against each other and
 tags the interval, with one ascent for all exponents.  ``certified_bound``
 is one such query.
@@ -128,7 +134,9 @@ class AscentResult:
     With an upper end given (``Analysis.bounds`` on signed and complex
     input), starts that trail may stop on the gap-scaled gain test, but the
     winning start has stopped on the 1e-12 test, up to rounding, so
-    ``converged`` means the same there.
+    ``converged`` means the same there.  With a floor above every start too
+    (``ascent_lower_bound``), the winner may have stopped on the gap test,
+    or taken no step at all: 0 and True.
     """
 
     value: float
@@ -370,11 +378,13 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     the first with the largest objective at its final iterate.  The caller
     recomputes the value on its own matrix.
 
-    A run is (working matrix W, exponent r >= 2, starts as rows, U), with U
-    an upper end on ||W||_r or None.  All starts are the rows of one k x n
-    block, each working matrix's rows together and within them each run's.
-    Each step is x <- Phi_q(W* Phi_r(W x)) with per-row normalisation, from
-    one product per working matrix and one power per side.  A product's
+    A run is (working matrix W, exponent r >= 2, starts as rows, U, L), with
+    U an upper end on ||W||_r or None, and L >= 0 a floor: a lower end that
+    the caller already holds, so that the run's value is of use only above
+    it.  All starts are the rows of one k x n block, each working matrix's
+    rows together and within them each run's.  Each step is
+    x <- Phi_q(W* Phi_r(W x)) with per-row normalisation, from one product
+    per working matrix and one power per side.  A product's
     rows round as the rows of a product of their run alone, but for a run
     down to one live row, whose lone product BLAS takes by gemv: that row
     takes a product of its own.  The powers take the live rows' exponent as
@@ -386,13 +396,17 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     direction is zero, or its objective gains no more than 1e-12 relative.
     Where U is given, a row whose objective obj gains no more than
     2e-6 (U - obj) / U relative freezes too, a gain too small to move the
-    lower end against the gap left to U, unless no row of its run is above
-    it: that row climbs on, on the 1e-12 test for good, since an ascent can
-    linger at a small gain near a saddle for hundreds of steps and then
-    climb again.  So the start that wins has stopped on the 1e-12 test, and
-    only starts that trail it stop early.  The rows go on up to 500 steps,
-    and a run whose rows have all frozen costs nothing.  An overflow in
-    either product makes a row norm nonfinite, which raises ValueError.
+    lower end against the gap left to U, unless neither the floor nor any
+    row of its run is above it: that row climbs on, on the 1e-12 test for
+    good, since an ascent can linger at a small gain near a saddle for
+    hundreds of steps and then climb again.  So a start that climbs past
+    the floor and wins has stopped on the 1e-12 test, and starts that trail
+    it or the floor stop early.  A run whose floor lies above U takes no
+    step: its rows keep their starts, with 0 steps, converged, so its
+    winner is the start of the largest objective.  Without U the floor
+    does nothing.  The rows go on up to 500 steps, and a run whose rows
+    have all frozen costs nothing.  An overflow in either product makes a
+    row norm nonfinite, which raises ValueError.
     """
     # each working matrix's runs together, and each exponent's within them,
     # so that the rows at a power's fast exponent stay one stretch
@@ -400,7 +414,7 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     runs = [runs[i] for i in order]
     groups = []  # per working matrix: W^T and conj(W), and its runs i:j
     rs, qs, ends, total = [], [], [], []
-    for i, (W, r, X0, U) in enumerate(runs):
+    for i, (W, r, X0, U, _) in enumerate(runs):
         if i and W is runs[i - 1][0]:
             groups[-1][2] = i + 1
         else:
@@ -428,7 +442,7 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     # views that the products and powers use change only when a row
     # freezes.  The rows of Xl start as the starts at r-norm 1.
     cbuf, fbuf = np.empty((4, k, n), dtype=np.complex128), np.empty((4, k, n))
-    np.concatenate([X0 for _, _, X0, _ in runs], out=cbuf[0])
+    np.concatenate([X0 for _, _, X0, _, _ in runs], out=cbuf[0])
     np.divide(cbuf[0], _row_pnorms(cbuf[0], rs, counts)[:, None], out=cbuf[0])
 
     def products(counts, offsets, src, dst, side):
@@ -466,14 +480,27 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     iters = np.full(k, _ASCENT_MAX_ITER)
     converged = np.zeros(k, dtype=bool)
     live = np.arange(k)  # the rows still iterating, held in Xl
+    skip = [U is not None and L > U for *_, U, L in runs]
+    if any(skip):
+        # the rows of a run whose floor lies above its upper end freeze at
+        # their starts; the other rows move up to lead the buffer
+        idle = np.repeat(skip, total)
+        X[idle], iters[idle], converged[idle] = cbuf[0, idle], 0, True
+        live = np.flatnonzero(~idle)
+        cbuf[0, :live.size] = cbuf[0, live]
+        rows, run_of = rows[:, live], run_of[live]
+        counts[:] = [0 if s else c for s, c in zip(skip, counts)]
     # against a zero previous objective the gain test at step 0 reads
     # obj == 0, and at every later step a zero objective stops too
-    prev = np.zeros(k)
-    best = np.zeros(len(runs))  # per run, the largest objective of a row frozen by a gain test
+    prev = np.zeros(live.size)
+    # per run, the floor, or the largest objective of a row frozen by a gain
+    # test if that is larger
+    best = np.array([L for *_, L in runs])
     (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
-     fwd, back, e_up, up, e_down, down) = layout(k)
+     fwd, back, e_up, up, e_down, down) = layout(live.size)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for step in range(_ASCENT_MAX_ITER):
+        # a block whose rows all froze at their starts takes no step
+        for step in range(_ASCENT_MAX_ITER if live.size else 0):
             for x, w, y in fwd:
                 np.dot(x, w, out=y)
             top, sums = _image_step(Y, S, U, D, e_up, up)
@@ -492,8 +519,9 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
             tol = np.maximum(_ASCENT_GAIN_TOL, tau - obj * tau_u) if gapped else _ASCENT_GAIN_TOL
             done = gain <= tol * prev
             if gapped and np.count_nonzero(done):
-                # a row that passes the gap test alone while no row of its run
-                # is above it climbs on, on the fine test for good
+                # a row that passes the gap test alone while neither its run's
+                # floor nor any row of its run is above it climbs on, on the
+                # fine test for good
                 peak = best.copy()
                 np.maximum.at(peak, run_of, obj)
                 lead = done & (gain > _ASCENT_GAIN_TOL * prev) & (obj >= peak[run_of])
@@ -559,7 +587,8 @@ def _endpoint_ascent(M: np.ndarray, p: Exponent) -> AscentResult:
     return AscentResult(vec_norm(M @ x, INF) / vec_norm(x, INF), x, 0, True)
 
 
-def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None):
+def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
+                       _floors=None):
     """Iterative ascent lower bound for the operator p-norm, at one exponent
     or at each of a sequence of them.
 
@@ -587,6 +616,15 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None):
     2e-6 (U - obj) / U, a gain too small to move the lower end against the
     gap left to U; the best start climbs on to the 1e-12 test.  None
     everywhere, the default, is the 1e-12 test alone, bit for bit.
+
+    ``_floors``, in the same form, gives a floor L >= 0 per exponent: a lower
+    end that the engine already holds without an ascent, such as a
+    circulant's eigen certificate or a direct sum's exactly pinned block.
+    With an end U, the exponent's best starts at L, so starts below L trail
+    it and stop on the gap test, and a start that climbs past L leads as
+    before; where L > U no start takes a step, and the value is the best
+    start's own, which the engine's larger lower end L discards.  0, the
+    default, is no floor.
     """
     M = as_square(A)
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
@@ -594,30 +632,34 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None):
     seed = _check_seed(seed)
     ps, one = _exponent_args(p)
     ends = (None,) * len(ps) if _uppers is None else (_uppers,) if one else tuple(_uppers)
-    climb = [(e, u) for e, u in zip(ps, ends) if e.value != 1.0 and not e.is_inf]
+    floors = (0.0,) * len(ps) if _floors is None else (_floors,) if one else tuple(_floors)
+    climb = [(e, u if u is not None and u > 0.0 else None, f)
+             for e, u, f in zip(ps, ends, floors) if e.value != 1.0 and not e.is_inf]
     if climb:
         # the ascent runs on 2^k M, whose largest modulus lies in [1, 2): no
         # step then divides by a subnormal row maximum, and on a matrix whose
         # iterates stay in the normal range every step is the same bits at
         # any power-of-two scale.  For 1 < p < 2 it runs on (2^k M*, q),
-        # whose norm is the same, so an end U on ||M||_p scales to 2^k U.
+        # whose norm is the same, so an end U on ||M||_p scales to 2^k U, and
+        # a floor L to 2^k L, or inf where L > U, which 2^k could overflow.
         k = 1 - math.frexp(float(np.abs(M).max()))[1]
         work = {dual: _ldexp(adjoint(M) if dual else M, k)
-                for dual in {e.value < 2.0 for e, _ in climb}}
-        pairs = [(work[e.value < 2.0], dual_exponent(e) if e.value < 2.0 else e, u)
-                 for e, u in climb]
-        starts = {id(W): iter(_ascent_starts(W, [r for V, r, _ in pairs if V is W],
+                for dual in {e.value < 2.0 for e, _, _ in climb}}
+        plan = [(work[e.value < 2.0], dual_exponent(e) if e.value < 2.0 else e, u, f)
+                for e, u, f in climb]
+        starts = {id(W): iter(_ascent_starts(W, [r for V, r, _, _ in plan if V is W],
                                              int(restarts), seed))
                   for W in work.values()}
-        runs = [(W, r, next(starts[id(W)]),
-                 math.ldexp(u, k) if u is not None and u > 0.0 else None) for W, r, u in pairs]
+        runs = [(W, r, next(starts[id(W)]), None if u is None else math.ldexp(u, k),
+                 0.0 if u is None else math.ldexp(f, k) if f <= u else math.inf)
+                for W, r, u, f in plan]
         found = iter(zip(runs, _block_ascent(runs)))
     results = []
     for e in ps:
         if e.value == 1.0 or e.is_inf:
             results.append(_endpoint_ascent(M, e))
             continue
-        (W, r, _, _), (xi, iterations, converged) = next(found)
+        (W, r, *_), (xi, iterations, converged) = next(found)
         if e.value < 2.0:
             # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at
             # least the dual objective, by the Hoelder equality of the duality
@@ -639,7 +681,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None):
 
 
 def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
-                     _uppers=None):
+                     _uppers=None, _floors=None):
     """Attained lower bound with its provenance tag, and the ascent's
     maximizer (None when no ascent ran), as a (value, tag, maximizer) triple
     at one exponent, or a tuple of them, in order, at a sequence of
@@ -653,21 +695,25 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
     ``_uppers``, in the form of ``p``, passes each exponent's upper end to
     ``ascent_lower_bound``, whose trailing starts then also stop on the
     gap-scaled gain test; None, the default, keeps the 1e-12 test alone.
+    ``_floors``, in the same form, passes each exponent's floor, a lower end
+    the caller holds without an ascent, below which starts trail.
     """
     M = as_matrix(A)
     ps, one = _exponent_args(p)
     seed = _check_seed(seed)
     pinned = {} if anchors is None else {1.0: anchors.n1, 2.0: anchors.n2, math.inf: anchors.ninf}
     ends = (None,) * len(ps) if _uppers is None else (_uppers,) if one else tuple(_uppers)
-    climb = [(e, u) for e, u in zip(ps, ends) if e.value not in pinned]
+    floors = (0.0,) * len(ps) if _floors is None else (_floors,) if one else tuple(_floors)
+    climb = [(e, u, f) for e, u, f in zip(ps, ends, floors) if e.value not in pinned]
     # a lone exponent takes the one-exponent form, whose result describes
     # the whole call; the ascent is looked up by its module name on every
     # call, so a wrapper installed there sees every ascent
     if len(climb) > 1:
-        es, us = zip(*climb)
-        ascents = iter(ascent_lower_bound(M, es, seed=seed, _uppers=us))
+        es, us, fs = zip(*climb)
+        ascents = iter(ascent_lower_bound(M, es, seed=seed, _uppers=us, _floors=fs))
     else:
-        ascents = iter([ascent_lower_bound(M, e, seed=seed, _uppers=u) for e, u in climb])
+        ascents = iter([ascent_lower_bound(M, e, seed=seed, _uppers=u, _floors=f)
+                        for e, u, f in climb])
     out = []
     for e in ps:
         if e.value in pinned:
@@ -869,7 +915,14 @@ class Analysis:
     "tensor") leave it None and read ``anchors`` off their own ``bounds`` at
     1, 2 and inf, where every rule is exact.  The rule only proposes
     candidate ends at each exponent; ``bounds`` picks, checks and tags them
-    in one step, the same for every rule.
+    in one step, the same for every rule.  The lower candidates that need no
+    ascent, a circulant's eigen certificate (a Hankel layout's through its
+    factor) and the lower ends of a direct sum's blocks that run no ascent,
+    are the ascent's floor on signed and complex input: starts below it
+    stop on the gap test, and where it lies above the upper end the ascent
+    takes no step.  Every end and tag stays that of the ascent without it,
+    up to a start that would have lingered below the floor and then passed
+    it.
     """
 
     matrix: np.ndarray
@@ -899,6 +952,11 @@ class Analysis:
         M = self.matrix
         return not M.imag.any() and bool((M.real >= 0.0).all())
 
+    @property
+    def _climbs(self) -> bool:
+        """Whether ``bounds`` runs an ascent off the anchors."""
+        return not self.parts and self.rule not in _EXACT_TAGS or any(a._climbs for a in self.parts)
+
     def bound(self, p, seed: int = 0) -> NormBound:
         """Certified interval at one exponent: ``bounds((p,), seed)[0]``."""
         return self.bounds((p,), seed)[0]
@@ -916,9 +974,15 @@ class Analysis:
         upper.
         """
         ps = tuple(map(as_exponent, ps))
-        seed = _check_seed(seed)
+        return self._bounds(ps, _check_seed(seed), (0.0,) * len(ps))
+
+    def _bounds(self, ps, seed, floors):
+        """``bounds`` at validated exponents, given per exponent a floor: a
+        lower end on the caller's norm, held without an ascent, that any
+        ascent of this matrix need not climb to (0 for none).  A floor above
+        this matrix's own norm makes its lower end weaker, never wrong."""
         out = []
-        for p, (lowers, uppers) in zip(ps, self._candidates(ps, seed)):
+        for p, (lowers, uppers) in zip(ps, self._candidates(ps, seed, floors)):
             lo, lo_tag = max(lowers, key=lambda c: c[0])
             up, up_tag = min(uppers, key=lambda c: c[0])
             if lo > up * (1.0 + 1e-9):
@@ -926,10 +990,12 @@ class Analysis:
             out.append(NormBound(p, min(lo, up), up, lo_tag, up_tag))
         return tuple(out)
 
-    def _candidates(self, ps, seed):
+    def _candidates(self, ps, seed, floors):
         """Per exponent of ``ps``, the rule's lower candidates (attained
         value, tag) and upper candidates (certified value, tag), as a pair
-        of lists."""
+        of lists.  Lower ends that need no ascent are floors of the ascent,
+        with those of ``floors``: below the largest, starts trail and stop on
+        the gap test (``ascent_lower_bound``)."""
         rule, anchors = self.rule, self.own_anchors
         if rule in _EXACT_TAGS:
             for p in ps:
@@ -945,17 +1011,28 @@ class Analysis:
         elif self.parts:
             # the blocks of a direct sum, or a Hankel layout's one factor: the
             # norm is the largest part norm, so every part's lower end is a
-            # lower end, and the largest part upper end is the upper end
-            for parts in zip(*(a.bounds(ps, seed) for a in self.parts)):
+            # lower end, and the largest part upper end is the upper end.  The
+            # parts that run no ascent go first, and their lower ends are
+            # floors of the others' ascents
+            ends = [None if a._climbs else a._bounds(ps, seed, floors) for a in self.parts]
+            floors = [max([f, *(b[i].lower for b in ends if b is not None)])
+                      for i, f in enumerate(floors)]
+            ends = [a._bounds(ps, seed, floors) if b is None else b
+                    for a, b in zip(self.parts, ends)]
+            for parts in zip(*ends):
                 yield ([(b.lower, b.lower_provenance) for b in parts],
                        [max(((b.upper, b.upper_provenance) for b in parts), key=lambda c: c[0])])
         else:
             ups = [upper_bound_from_anchors(anchors, p, self.self_adjoint) for p in ps]
-            # a signed or complex ascent start that trails stops once its gain
-            # is small against the gap to its upper end; a nonnegative one
-            # climbs to the fixed point, where the Schur test below is tight
+            # a signed or complex ascent start that trails its best or the
+            # floor stops once its gain is small against the gap to its upper
+            # end; a nonnegative one climbs to the fixed point, where the
+            # Schur test below is tight, and has no use for a floor
+            if rule == "circulant":
+                floors = [max(f, anchors.n2) for f in floors]
             lows = best_lower_bound(self.matrix, ps, seed=seed, anchors=anchors,
-                                    _uppers=None if self.nonnegative else [u.value for u in ups])
+                                    _uppers=None if self.nonnegative else [u.value for u in ups],
+                                    _floors=floors)
             for p, (lo, tag, x), up in zip(ps, lows, ups):
                 # x is None at the anchors, where lo is the norm itself; a
                 # circulant's attaining root-of-unity eigenvector certifies

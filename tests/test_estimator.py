@@ -395,6 +395,58 @@ def test_gap_stop_loses_little_of_the_signed_interval(monkeypatch):
     assert gapped < 0.8 * fine
 
 
+def _count_block_steps(monkeypatch) -> list:
+    """One entry per step of the block ascent (``_image_step`` call)."""
+    steps = []
+    image_step = estimator._image_step
+    monkeypatch.setattr(estimator, "_image_step", lambda *a: steps.append(1) or image_step(*a))
+    return steps
+
+
+def test_direct_sum_block_below_an_exact_block_takes_no_ascent_step(monkeypatch):
+    # magic3's lower end 15 needs no ascent, and it lies above the complex
+    # block's Riesz-Thorin upper end at every exponent here: that block's
+    # ascent takes no step, and the interval is still the larger lower end
+    # and the larger upper end of the parts' own intervals
+    steps = _count_block_steps(monkeypatch)
+    analysis = analyze(direct_sum([magic3(), random_complex(np.random.default_rng(75), 8, 8)]))
+    assert [a.rule for a in analysis.parts] == ["balanced", "general"]
+    ps = (1.25, 1.5, 3.0, 4.0)
+    got = analysis.bounds(ps)
+    assert not steps
+    for b, *parts in zip(got, *(a.bounds(ps) for a in analysis.parts)):
+        lo = max(parts, key=lambda c: c.lower)
+        up = max(parts, key=lambda c: c.upper)
+        assert _hex(b) == (lo.lower.hex(), up.upper.hex(), lo.lower_provenance, up.upper_provenance)
+    assert steps  # the complex block alone climbs
+
+
+def test_eigen_certificate_floor_cuts_circulant_and_hankel_steps(monkeypatch):
+    # a circulant's eigen certificate n2 is a floor of its own ascent, which
+    # a Hankel layout reaches through its circulant factor: starts below it
+    # stop on the gap test, so the ascent takes fewer block steps than with
+    # the same upper ends alone
+    steps = _count_block_steps(monkeypatch)
+    rng = np.random.default_rng(76)
+    grid = [p for p in default_grid() if p.value not in (1.0, 2.0) and not p.is_inf]
+    floored = gapped = 0
+    for n in range(3, 17):
+        c = random_complex(rng, n)
+        for M in (densify(Circulant(c)), densify(HankelMod(c))):
+            analysis = analyze(M)
+            factor = analysis.parts[0] if analysis.rule == "hankel" else analysis
+            assert factor.rule == "circulant"
+            steps.clear()
+            bounds = analysis.bounds(grid)
+            mine = len(steps)
+            steps.clear()
+            ascent_lower_bound(factor.matrix, grid, _uppers=[b.upper for b in bounds])
+            assert mine <= len(steps)
+            floored += mine
+            gapped += len(steps)
+    assert floored < gapped  # 2912 against 3242
+
+
 def test_gap_stop_known_saddle_loss_stays_pinned():
     # A known loss beyond the 1e-4 target: at p = 3 four of the eight starts
     # of this complex 16 x 16 sit at 11.1928 for ~250 steps, then climb past
@@ -414,7 +466,11 @@ def test_gap_stop_known_saddle_loss_stays_pinned():
 def test_signed_bounds_keep_their_bits_whichever_exponents_share_the_query():
     rng = np.random.default_rng(72)
     ps = (3.0, 1.5, 3.0, 1.25, 8.0, 2.0, 1.5, INF, 5.0, 4.0 / 3.0)
-    for A in (random_complex(rng, 8, 8), random_complex(rng, 20, 20)):
+    # the circulant's ascent and the direct sum's complex block run with a
+    # floor, which keeps their bits too
+    for A in (random_complex(rng, 8, 8), random_complex(rng, 20, 20),
+              densify(Circulant(random_complex(rng, 8))),
+              direct_sum([magic3(), random_complex(rng, 5, 5)])):
         for i, b in enumerate(analyze(A).bounds(ps)):
             assert _hex(b) == _hex(analyze(A).bounds((ps[i],))[0])
 
