@@ -21,13 +21,13 @@ trails its exponent's best also stops once its gain is below 2e-6 of the
 gap (U - obj) / U, while the best start climbs on to the 1e-12 test.  With
 U the engine also gives a floor L, the largest lower end it holds without
 an ascent (a circulant's eigen certificate, a direct sum's exactly pinned
-blocks): the best starts at L, so starts below L trail and stop early, and
-where L > U no start takes a step.  Each
-side of a step takes one modulus, one row maximum and one fractional power,
-which give both the row norms and the next direction.  The seeded random
-starts are built once per (n, count, seed) and cached as a read-only block;
-the column norms that pick a start, the start normalisation and the final
-objectives are one pass each over every exponent.
+blocks), never above U: the best starts at L, so starts below L trail and
+stop early.  Each side of a step takes one modulus, one row maximum and one
+fractional power, which give both the row norms and the next direction.
+The seeded random starts are built once per (n, count, seed) and cached as
+a read-only block; the column norms that pick a start, the start
+normalisation and the final objectives are one pass each over every
+exponent.
 For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
 exponent >= 2.
@@ -48,10 +48,12 @@ through the anchors, plus, for a real entrywise nonnegative matrix, the
 Schur test at the ascent's maximizer, which is tight at the ascent's fixed
 point.  Lower ends that need no ascent floor it: the eigen certificate, and
 in a direct sum the lower ends of the blocks that run none, bounded first.
-One combine step in ``Analysis.bounds`` then picks the largest
-lower and the smallest upper candidate, checks them against each other and
-tags the interval, with one ascent for all exponents.  ``certified_bound``
-is one such query.
+An exponent whose floor lies above its upper end is settled: a lower end
+that the caller holds tops both of its ends, so it runs no ascent and
+proposes the ones vector's attained value in its place.  One combine step
+in ``Analysis.bounds`` then picks the largest lower and the smallest upper
+candidate, checks them against each other and tags the interval, with one
+ascent for all exponents.  ``certified_bound`` is one such query.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -135,8 +137,7 @@ class AscentResult:
     input), starts that trail may stop on the gap-scaled gain test, but the
     winning start has stopped on the 1e-12 test, up to rounding, so
     ``converged`` means the same there.  With a floor above every start too
-    (``ascent_lower_bound``), the winner may have stopped on the gap test,
-    or taken no step at all: 0 and True.
+    (``ascent_lower_bound``), the winner may have stopped on the gap test.
     """
 
     value: float
@@ -379,13 +380,13 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     recomputes the value on its own matrix.
 
     A run is (working matrix W, exponent r >= 2, starts as rows, U, L), with
-    U an upper end on ||W||_r or None, and L >= 0 a floor: a lower end that
-    the caller already holds, so that the run's value is of use only above
-    it.  All starts are the rows of one k x n block, each working matrix's
-    rows together and within them each run's.  Each step is
-    x <- Phi_q(W* Phi_r(W x)) with per-row normalisation, from one product
-    per working matrix and one power per side.  A product's
-    rows round as the rows of a product of their run alone, but for a run
+    U an upper end on ||W||_r or None, and 0 <= L <= U a floor (0 without
+    U): a lower end that the caller already holds, so that the run's value
+    is of use only above it.  All starts are the rows of one k x n block,
+    each working matrix's rows together and within them each run's.  Each
+    step is x <- Phi_q(W* Phi_r(W x)) with per-row normalisation, from one
+    product per working matrix and one power per side.  A product's rows
+    round as the rows of a product of their run alone, but for a run
     down to one live row, whose lone product BLAS takes by gemv: that row
     takes a product of its own.  The powers take the live rows' exponent as
     a scalar where they share one, as a run alone does, and else each row's
@@ -401,12 +402,9 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     good, since an ascent can linger at a small gain near a saddle for
     hundreds of steps and then climb again.  So a start that climbs past
     the floor and wins has stopped on the 1e-12 test, and starts that trail
-    it or the floor stop early.  A run whose floor lies above U takes no
-    step: its rows keep their starts, with 0 steps, converged, so its
-    winner is the start of the largest objective.  Without U the floor
-    does nothing.  The rows go on up to 500 steps, and a run whose rows
-    have all frozen costs nothing.  An overflow in either product makes a
-    row norm nonfinite, which raises ValueError.
+    it or the floor stop early.  The rows go on up to 500 steps, and a run
+    whose rows have all frozen costs nothing.  An overflow in either product
+    makes a row norm nonfinite, which raises ValueError.
     """
     # each working matrix's runs together, and each exponent's within them,
     # so that the rows at a power's fast exponent stay one stretch
@@ -480,27 +478,16 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     iters = np.full(k, _ASCENT_MAX_ITER)
     converged = np.zeros(k, dtype=bool)
     live = np.arange(k)  # the rows still iterating, held in Xl
-    skip = [U is not None and L > U for *_, U, L in runs]
-    if any(skip):
-        # the rows of a run whose floor lies above its upper end freeze at
-        # their starts; the other rows move up to lead the buffer
-        idle = np.repeat(skip, total)
-        X[idle], iters[idle], converged[idle] = cbuf[0, idle], 0, True
-        live = np.flatnonzero(~idle)
-        cbuf[0, :live.size] = cbuf[0, live]
-        rows, run_of = rows[:, live], run_of[live]
-        counts[:] = [0 if s else c for s, c in zip(skip, counts)]
     # against a zero previous objective the gain test at step 0 reads
     # obj == 0, and at every later step a zero objective stops too
-    prev = np.zeros(live.size)
+    prev = np.zeros(k)
     # per run, the floor, or the largest objective of a row frozen by a gain
     # test if that is larger
     best = np.array([L for *_, L in runs])
     (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
-     fwd, back, e_up, up, e_down, down) = layout(live.size)
+     fwd, back, e_up, up, e_down, down) = layout(k)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        # a block whose rows all froze at their starts takes no step
-        for step in range(_ASCENT_MAX_ITER if live.size else 0):
+        for step in range(_ASCENT_MAX_ITER):
             for x, w, y in fwd:
                 np.dot(x, w, out=y)
             top, sums = _image_step(Y, S, U, D, e_up, up)
@@ -617,14 +604,13 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
     gap left to U; the best start climbs on to the 1e-12 test.  None
     everywhere, the default, is the 1e-12 test alone, bit for bit.
 
-    ``_floors``, in the same form, gives a floor L >= 0 per exponent: a lower
-    end that the engine already holds without an ascent, such as a
+    ``_floors``, in the same form, gives a floor 0 <= L <= U per exponent: a
+    lower end that the engine already holds without an ascent, such as a
     circulant's eigen certificate or a direct sum's exactly pinned block.
     With an end U, the exponent's best starts at L, so starts below L trail
     it and stop on the gap test, and a start that climbs past L leads as
-    before; where L > U no start takes a step, and the value is the best
-    start's own, which the engine's larger lower end L discards.  0, the
-    default, is no floor.
+    before.  0, the default, is no floor.  The engine runs no ascent where
+    L > U (``Analysis``).
     """
     M = as_square(A)
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
@@ -641,7 +627,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
         # iterates stay in the normal range every step is the same bits at
         # any power-of-two scale.  For 1 < p < 2 it runs on (2^k M*, q),
         # whose norm is the same, so an end U on ||M||_p scales to 2^k U, and
-        # a floor L to 2^k L, or inf where L > U, which 2^k could overflow.
+        # a floor L <= U to 2^k L.
         k = 1 - math.frexp(float(np.abs(M).max()))[1]
         work = {dual: _ldexp(adjoint(M) if dual else M, k)
                 for dual in {e.value < 2.0 for e, _, _ in climb}}
@@ -651,8 +637,7 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
                                              int(restarts), seed))
                   for W in work.values()}
         runs = [(W, r, next(starts[id(W)]), None if u is None else math.ldexp(u, k),
-                 0.0 if u is None else math.ldexp(f, k) if f <= u else math.inf)
-                for W, r, u, f in plan]
+                 0.0 if u is None else math.ldexp(f, k)) for W, r, u, f in plan]
         found = iter(zip(runs, _block_ascent(runs)))
     results = []
     for e in ps:
@@ -696,7 +681,8 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
     ``ascent_lower_bound``, whose trailing starts then also stop on the
     gap-scaled gain test; None, the default, keeps the 1e-12 test alone.
     ``_floors``, in the same form, passes each exponent's floor, a lower end
-    the caller holds without an ascent, below which starts trail.
+    the caller holds without an ascent and at most its upper end, below
+    which starts trail.
     """
     M = as_matrix(A)
     ps, one = _exponent_args(p)
@@ -919,10 +905,14 @@ class Analysis:
     ascent, a circulant's eigen certificate (a Hankel layout's through its
     factor) and the lower ends of a direct sum's blocks that run no ascent,
     are the ascent's floor on signed and complex input: starts below it
-    stop on the gap test, and where it lies above the upper end the ascent
-    takes no step.  Every end and tag stays that of the ascent without it,
-    up to a start that would have lingered below the floor and then passed
-    it.
+    stop on the gap test.  Every end and tag stays that of the ascent
+    without it, up to a start that would have lingered below the floor and
+    then passed it.  Off the anchors, an exponent whose floor lies above
+    its Riesz-Thorin upper end, on any input, is settled: the part that
+    holds the floor has a lower end above both of this matrix's ends, so
+    neither can win the caller's combine step, and the exponent runs no
+    ascent; it proposes the eigen certificate, if any, then the ones
+    vector's attained value, and the segment.
     """
 
     matrix: np.ndarray
@@ -954,7 +944,8 @@ class Analysis:
 
     @property
     def _climbs(self) -> bool:
-        """Whether ``bounds`` runs an ascent off the anchors."""
+        """Whether ``bounds`` runs an ascent off the anchors, at every
+        exponent that its floor does not settle."""
         return not self.parts and self.rule not in _EXACT_TAGS or any(a._climbs for a in self.parts)
 
     def bound(self, p, seed: int = 0) -> NormBound:
@@ -1023,25 +1014,37 @@ class Analysis:
                 yield ([(b.lower, b.lower_provenance) for b in parts],
                        [max(((b.upper, b.upper_provenance) for b in parts), key=lambda c: c[0])])
         else:
+            M = self.matrix
             ups = [upper_bound_from_anchors(anchors, p, self.self_adjoint) for p in ps]
-            # a signed or complex ascent start that trails its best or the
-            # floor stops once its gain is small against the gap to its upper
-            # end; a nonnegative one climbs to the fixed point, where the
-            # Schur test below is tight, and has no use for a floor
             if rule == "circulant":
                 floors = [max(f, anchors.n2) for f in floors]
-            lows = best_lower_bound(self.matrix, ps, seed=seed, anchors=anchors,
-                                    _uppers=None if self.nonnegative else [u.value for u in ups],
-                                    _floors=floors)
-            for p, (lo, tag, x), up in zip(ps, lows, ups):
-                # x is None at the anchors, where lo is the norm itself; a
-                # circulant's attaining root-of-unity eigenvector certifies
-                # the spectral value as a lower end at every other exponent
+            # off the anchors, an exponent whose floor lies above its upper
+            # end is settled: the caller holds a lower end above both of this
+            # matrix's ends, so neither can win there, and it runs no ascent.
+            # On the others a signed or complex ascent start that trails its
+            # best or the floor stops once its gain is small against the gap
+            # to its upper end; a nonnegative one climbs to the fixed point,
+            # where the Schur test below is tight, and has no use for a floor
+            off = [p.value not in (1.0, 2.0, math.inf) for p in ps]
+            climb = [not (o and f > u.value) for o, f, u in zip(off, floors, ups)]
+            lows = iter(best_lower_bound(
+                M, list(compress(ps, climb)), seed=seed, anchors=anchors,
+                _uppers=None if self.nonnegative else [u.value for u in compress(ups, climb)],
+                _floors=list(compress(floors, climb))))
+            for p, o, c, up in zip(ps, off, climb, ups):
+                if c:
+                    lo, tag, x = next(lows)  # x is None at the anchors
+                else:
+                    lo, tag, x = (vec_norm(M.sum(axis=1), p) / vec_norm(np.ones(len(M)), p),
+                                  "ones-vector", None)
                 lowers, uppers = [(lo, tag)], [up]
-                if x is not None and rule == "circulant":
+                if o and rule == "circulant":
+                    # at the anchors lo is the norm itself; off them a
+                    # circulant's attaining root-of-unity eigenvector
+                    # certifies the spectral value as a lower end
                     lowers.insert(0, (anchors.n2, "eigen-certificate"))
                 if x is not None and self.nonnegative:
-                    schur = _schur_upper(self.matrix, p, x)
+                    schur = _schur_upper(M, p, x)
                     if schur is not None:
                         # schur is certified, so a lower end above it exceeds
                         # the norm by its rounding and is itself an upper end

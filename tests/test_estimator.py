@@ -334,7 +334,7 @@ def test_bounds_run_one_ascent_for_all_exponents(ascent_calls):
 
 def test_direct_sum_runs_one_ascent_per_unstructured_block(ascent_calls):
     rng = np.random.default_rng(66)
-    M = direct_sum([rng.standard_normal((3, 3)), magic3(), random_complex(rng, 4, 4)])
+    M = direct_sum([rng.standard_normal((3, 3)), magic3() / 15, random_complex(rng, 4, 4)])
     analysis = analyze(M)
     assert [a.rule for a in analysis.parts] == ["general", "balanced", "general"]
     analysis.bounds((1.25, 2.0, 3.0, 8.0))
@@ -405,20 +405,30 @@ def _count_block_steps(monkeypatch) -> list:
 
 def test_direct_sum_block_below_an_exact_block_takes_no_ascent_step(monkeypatch):
     # magic3's lower end 15 needs no ascent, and it lies above the complex
-    # block's Riesz-Thorin upper end at every exponent here: that block's
-    # ascent takes no step, and the interval is still the larger lower end
-    # and the larger upper end of the parts' own intervals
+    # or nonnegative block's Riesz-Thorin upper end at every exponent here:
+    # that block's exponents are settled, so it builds no starts and takes
+    # no step, and the interval is still the larger lower end and the larger
+    # upper end of the parts' own intervals
     steps = _count_block_steps(monkeypatch)
-    analysis = analyze(direct_sum([magic3(), random_complex(np.random.default_rng(75), 8, 8)]))
-    assert [a.rule for a in analysis.parts] == ["balanced", "general"]
+    starts = []
+    ascent_starts = estimator._ascent_starts
+    monkeypatch.setattr(estimator, "_ascent_starts",
+                        lambda *a: starts.append(1) or ascent_starts(*a))
     ps = (1.25, 1.5, 3.0, 4.0)
-    got = analysis.bounds(ps)
-    assert not steps
-    for b, *parts in zip(got, *(a.bounds(ps) for a in analysis.parts)):
-        lo = max(parts, key=lambda c: c.lower)
-        up = max(parts, key=lambda c: c.upper)
-        assert _hex(b) == (lo.lower.hex(), up.upper.hex(), lo.lower_provenance, up.upper_provenance)
-    assert steps  # the complex block alone climbs
+    for block in (random_complex(np.random.default_rng(75), 8, 8),
+                  np.abs(np.random.default_rng(5).standard_normal((6, 6)))):
+        analysis = analyze(direct_sum([magic3(), block]))
+        assert [a.rule for a in analysis.parts] == ["balanced", "general"]
+        steps.clear()
+        got = analysis.bounds(ps)
+        assert not steps and not starts
+        for b, *parts in zip(got, *(a.bounds(ps) for a in analysis.parts)):
+            lo = max(parts, key=lambda c: c.lower)
+            up = max(parts, key=lambda c: c.upper)
+            assert _hex(b) == (lo.lower.hex(), up.upper.hex(), lo.lower_provenance,
+                               up.upper_provenance)
+        assert steps and starts  # the block alone climbs
+        starts.clear()
 
 
 def test_eigen_certificate_floor_cuts_circulant_and_hankel_steps(monkeypatch):
@@ -445,6 +455,19 @@ def test_eigen_certificate_floor_cuts_circulant_and_hankel_steps(monkeypatch):
             floored += mine
             gapped += len(steps)
     assert floored < gapped  # 2912 against 3242
+
+
+def test_settled_circulant_exponents_keep_the_eigen_certificate():
+    # coefficients 1, 2, 3 aligned but for a phase of 3e-9 on the last: the
+    # rule is "circulant", and at some exponents n2 rounds above the
+    # segment, which settles them with no ascent; the eigen certificate
+    # stays their lower end, ahead of the ones vector's value
+    analysis = analyze(densify(Circulant([1, 2, 3 * np.exp(3e-9j)])))
+    assert analysis.rule == "circulant"
+    grid = [p for p in default_grid() if p.value not in (1.0, 2.0) and not p.is_inf]
+    anchors = analysis.anchors
+    assert any(anchors.n2 > upper_bound_from_anchors(anchors, p).value for p in grid)
+    assert [b.lower_provenance for b in analysis.bounds(grid)] == ["eigen-certificate"] * len(grid)
 
 
 def test_gap_stop_known_saddle_loss_stays_pinned():
