@@ -6,7 +6,10 @@ copies, so constructed values behave as immutable and every operation here is
 a pure function.  ``as_matrix`` hands an array it returned back as is, so a
 matrix passed down through the recognizers, anchors and ascent is validated
 once; ``as_square`` adds the one square-shape check every n x n entry point
-uses.  ``Exponent`` keeps p = inf exact (no large-float stand-in),
+uses.  ``_unit_scale`` brings an array's largest modulus into [1, 2) by a
+power of two, the one scaling every function here and ``analyze`` uses; a
+scaled copy of a validated matrix stays validated.  ``Exponent`` keeps
+p = inf exact (no large-float stand-in),
 which makes the endpoint identities dual(1) = inf and dual(inf) = 1 hold
 without rounding.
 """
@@ -132,6 +135,12 @@ def as_matrix(entries) -> np.ndarray:
         raise ValueError("matrix must have at least one row and one column")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
+    return _frozen(arr)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of the checked array arr, which ``as_matrix``
+    returns as is from now on."""
     arr.setflags(write=False)
     arr = arr.view()
     _VALIDATED[id(arr)] = arr
@@ -158,6 +167,21 @@ def _ldexp(z: np.ndarray, k: int) -> np.ndarray:
     if k > 1023:
         return z * 2.0 ** 1023 * math.ldexp(1.0, k - 1023)
     return z * math.ldexp(1.0, k)
+
+
+def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2**k, k) with k bringing the largest modulus of a into [1, 2),
+    from one modulus pass; a itself where k = 0.
+
+    The scaling is exact but for entries that land below the normal range,
+    at most 2^-1022 of the largest.  A scaled copy of a matrix that
+    ``as_matrix`` returned is finite, so it is returned as checked too.
+    """
+    k = 1 - math.frexp(float(np.abs(a).max()))[1]
+    if k == 0:
+        return a, 0
+    out = _ldexp(a, k)
+    return (_frozen(out) if _VALIDATED.get(id(a)) is a else out), k
 
 
 def _check_seed(seed) -> int:

@@ -32,9 +32,18 @@ For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
 exponent >= 2.
 
-The ascent runs on the matrix scaled by the power of two that brings its
-largest modulus into [1, 2), and the returned value is recomputed on the
-caller's matrix, so subnormal-scale input neither over- nor underflows it.
+Scale is decided once, by ``core._unit_scale``: the power of two that
+brings a matrix's largest modulus into [1, 2), exact but for entries below
+2^-1022 of the largest.  ``analyze`` splits off the 1 x 1 case and the direct
+sum first, so each block scales itself, then scales the matrix once; every
+recognizer, anchor and rule reads that copy, and ``Analysis.bounds`` scales
+every end back by the same power of two, raising ValueError for an end past
+the double range.  So intervals follow the matrix's scale bit for bit, from
+the subnormal range to the top of the double range.  The public functions
+that the engine calls on that copy (the ascent, the two-norm, the
+recognizers) scale their own input by the same helper, which finds nothing
+to do on the engine's copy; the ascent recomputes its value on the caller's
+matrix.  Only the Schur test keeps a scaling of its own.
 
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
@@ -60,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress
 
 import numpy as np
@@ -69,7 +78,7 @@ from .core import (
     INF,
     Exponent,
     _check_seed,
-    _ldexp,
+    _unit_scale,
     adjoint,
     as_exponent,
     as_matrix,
@@ -92,6 +101,7 @@ from .interp import (
     upper_bound_from_anchors,
 )
 from .structured import (
+    Circulant,
     TensorRankOne,
     UnitaryPermutation,
     as_circulant,
@@ -101,7 +111,6 @@ from .structured import (
     classify_circulant_la,
     densify,
     doubly_balanced_norm,
-    hankel_factor,
     split_direct_sum,
     tensor_norm,
 )
@@ -628,8 +637,8 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
         # any power-of-two scale.  For 1 < p < 2 it runs on (2^k M*, q),
         # whose norm is the same, so an end U on ||M||_p scales to 2^k U, and
         # a floor L <= U to 2^k L.
-        k = 1 - math.frexp(float(np.abs(M).max()))[1]
-        work = {dual: _ldexp(adjoint(M) if dual else M, k)
+        unit, k = _unit_scale(M)
+        work = {dual: adjoint(unit) if dual else unit
                 for dual in {e.value < 2.0 for e, _, _ in climb}}
         plan = [(work[e.value < 2.0], dual_exponent(e) if e.value < 2.0 else e, u, f)
                 for e, u, f in climb]
@@ -762,10 +771,7 @@ def _schur_upper(M: np.ndarray, p: Exponent, xi: np.ndarray) -> float | None:
     mu = float(((w ** (pv - 1.0)).dot(S) / px).max()) + 3.0 * n * 2.0 ** -1074 / low
     slack = 2.0 * n + 32.0 + 4.0 * (abs(math.log(lam)) + abs(math.log(mu)) / pv)
     bound = lam ** (1.0 - 1.0 / pv) * mu ** (1.0 / pv) * (1.0 + slack * _U / (1.0 - slack * _U))
-    try:
-        return math.nextafter(math.ldexp(bound, e), math.inf)
-    except OverflowError:  # above the double range: no use as an upper bound
-        return None
+    return math.nextafter(math.ldexp(bound, e), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -896,10 +902,14 @@ class Analysis:
     "hankel", "tensor", "log-affine", or "general" when nothing fired.
     ``parts`` holds the sub-analyses the rule delegates to: the diagonal
     blocks, the circulant factor of a Hankel layout, or the tensor core
-    (whose factors are in ``tensor``).  ``own_anchors`` are the anchor norms
-    the rule itself computed; the composite rules ("direct-sum", "hankel",
-    "tensor") leave it None and read ``anchors`` off their own ``bounds`` at
-    1, 2 and inf, where every rule is exact.  The rule only proposes
+    (whose factors are in ``tensor``).  Every rule past the direct-sum split
+    was found on ``unit``, the matrix times 2^``scale`` with its largest
+    modulus in [1, 2), and reads its ``own_anchors``, ``tensor`` and tensor
+    core there; a Hankel layout's circulant factor is built from ``matrix``
+    and keeps its units, so its ``scale`` is 0.  ``matrix``, ``anchors`` and
+    every interval are in the caller's units: ``bounds`` scales each floor
+    in and each end out by that same power of two, exactly in the normal
+    range.  The rule only proposes
     candidate ends at each exponent; ``bounds`` picks, checks and tags them
     in one step, the same for every rule.  The lower candidates that need no
     ascent, a circulant's eigen certificate (a Hankel layout's through its
@@ -920,15 +930,14 @@ class Analysis:
     own_anchors: AnchorNorms | None = None
     parts: tuple[Analysis, ...] = ()
     tensor: TensorRankOne | None = None
+    unit: np.ndarray | None = None
+    scale: int = 0
 
     @cached_property
     def anchors(self) -> AnchorNorms:
-        """Exact norms at p = 1, 2, inf; the squaring two-norm runs only for
-        "log-affine" and "general", every other rule gives them exactly.  A
-        composite rule reads them off its own ``bounds``, which every rule
-        answers exactly at the anchors."""
-        if self.own_anchors is not None:
-            return self.own_anchors
+        """Exact norms at p = 1, 2, inf, read off ``bounds``, which every rule
+        answers exactly at the anchors; the squaring two-norm runs only for
+        "log-affine" and "general"."""
         return AnchorNorms(*(b.upper for b in self.bounds((1.0, 2.0, INF))))
 
     @cached_property
@@ -962,7 +971,7 @@ class Analysis:
         candidate winning a tie, with its tag.  A lower end above the upper
         by more than 1e-9 relative raises RuntimeError; a smaller excess is
         rounding of the attained value, and the lower end is clipped to the
-        upper.
+        upper.  An end past the double range raises ValueError.
         """
         ps = tuple(map(as_exponent, ps))
         return self._bounds(ps, _check_seed(seed), (0.0,) * len(ps))
@@ -971,14 +980,20 @@ class Analysis:
         """``bounds`` at validated exponents, given per exponent a floor: a
         lower end on the caller's norm, held without an ascent, that any
         ascent of this matrix need not climb to (0 for none).  A floor above
-        this matrix's own norm makes its lower end weaker, never wrong."""
-        out = []
+        this matrix's own norm makes its lower end weaker, never wrong.
+
+        The candidates are at ``scale``.  Its factor 2^-scale is a Python
+        float, always a double, whose products and quotients round once and
+        give inf past the double range without a warning: a floor there
+        settles its exponent, and NormBound rejects such an end."""
+        out, to_caller = [], 2.0 ** -self.scale
+        floors = [f / to_caller for f in floors]
         for p, (lowers, uppers) in zip(ps, self._candidates(ps, seed, floors)):
             lo, lo_tag = max(lowers, key=lambda c: c[0])
             up, up_tag = min(uppers, key=lambda c: c[0])
             if lo > up * (1.0 + 1e-9):
                 raise RuntimeError(f"bound inconsistency at p={p}: lower {lo} exceeds upper {up}")
-            out.append(NormBound(p, min(lo, up), up, lo_tag, up_tag))
+            out.append(NormBound(p, min(lo, up) * to_caller, up * to_caller, lo_tag, up_tag))
         return tuple(out)
 
     def _candidates(self, ps, seed, floors):
@@ -1014,8 +1029,8 @@ class Analysis:
                 yield ([(b.lower, b.lower_provenance) for b in parts],
                        [max(((b.upper, b.upper_provenance) for b in parts), key=lambda c: c[0])])
         else:
-            M = self.matrix
-            ups = [upper_bound_from_anchors(anchors, p, self.self_adjoint) for p in ps]
+            M = self.unit
+            ups = [upper_bound_from_anchors(anchors, p) for p in ps]
             if rule == "circulant":
                 floors = [max(f, anchors.n2) for f in floors]
             # off the anchors, an exponent whose floor lies above its upper
@@ -1061,6 +1076,14 @@ def analyze(A) -> Analysis:
     layouts (delegated to the circulant factor, which shares all p-norms),
     rank-one block tensors (vector-norm factor times the core), and the
     anchor equality test that certifies the log-affine envelope.
+
+    The 1 x 1 case and the split need only one modulus or exact-zero tests,
+    so they come first and each block scales itself: a block far below
+    another keeps its digits.  Then the matrix is scaled once, by the power
+    of two that brings its largest modulus into [1, 2), and every
+    recognizer, anchor and rule reads that copy (``Analysis.unit``), so
+    ``analyze(2^j A)`` gives 2^j times the ends of ``analyze(A)``, bit for
+    bit, wherever the entries of both are normal and the ends in range.
     """
     M = as_square(A)
 
@@ -1072,30 +1095,31 @@ def analyze(A) -> Analysis:
     if len(blocks) > 1:
         return Analysis(M, "direct-sum", parts=tuple(analyze(B) for B in blocks))
 
-    balanced = doubly_balanced_norm(M)
+    unit, k = _unit_scale(M)
+    found = partial(Analysis, M, unit=unit, scale=k)
+    balanced = doubly_balanced_norm(unit)
     if balanced is not None:
-        return Analysis(M, "balanced", AnchorNorms(balanced, balanced, balanced))
+        return found("balanced", AnchorNorms(balanced, balanced, balanced))
 
-    circ = as_circulant(M)
+    circ = as_circulant(unit)
     if circ is not None:
         total = float(np.abs(circ.coeffs).sum())
         if classify_circulant_la(circ).is_la:
-            return Analysis(M, "circulant-la", AnchorNorms(total, total, total))
-        return Analysis(M, "circulant", AnchorNorms(total, circulant_two_norm(circ), total))
+            return found("circulant-la", AnchorNorms(total, total, total))
+        return found("circulant", AnchorNorms(total, circulant_two_norm(circ), total))
 
-    hank = as_hankel(M)
-    if hank is not None:
-        # H = P C with P a phase-free permutation, so H shares every p-norm
-        # with its circulant factor
-        return Analysis(M, "hankel", parts=(analyze(densify(hankel_factor(hank)[1])),))
+    if as_hankel(unit) is not None:
+        # H = P C with P the phase-free row flip i -> -i mod n, so H shares
+        # every p-norm with its circulant factor C, read off M's first row in
+        # the caller's units
+        return Analysis(M, "hankel", parts=(analyze(densify(Circulant(M[0]))),))
 
-    tensor = as_tensor_rank_one(M)
+    tensor = as_tensor_rank_one(unit)
     if tensor is not None:
-        return Analysis(M, "tensor", parts=(analyze(tensor.core),), tensor=tensor)
+        return found("tensor", parts=(analyze(tensor.core),), tensor=tensor)
 
-    anchors = anchor_norms(M)
-    return Analysis(M, "log-affine" if la_report_from_anchors(anchors).is_la else "general",
-                    anchors)
+    anchors = anchor_norms(unit)
+    return found("log-affine" if la_report_from_anchors(anchors).is_la else "general", anchors)
 
 
 def certified_bound(A, p, seed: int = 0) -> NormBound:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ldexp, as_matrix, as_square
+from .core import _unit_scale, as_matrix, as_square
 
 __all__ = [
     "AnchorNorms",
@@ -124,15 +124,13 @@ def norm_two(A) -> float:
     where the squaring stopped at its cap.
     """
     M = as_square(A)
-    if not M.imag.any():
-        M = M.real
-    top = float(np.abs(M).max())
-    if top == 0.0:
+    # exact power of two: a subnormal top neither over- nor underflows.  The
+    # real part is copied, since a matmul rounds a strided view differently
+    B, k = _unit_scale(M.real.copy() if not M.imag.any() else M)
+    if not B.any():
         return 0.0
-    e = math.frexp(top)[1]
-    B = _ldexp(M, -e)  # exact power of two: a subnormal top neither over- nor underflows
     x = _top_direction(np.conj(B.T) @ B)[0]
-    return math.ldexp(float(np.linalg.norm(B @ x) / np.linalg.norm(x)), e)
+    return math.ldexp(float(np.linalg.norm(B @ x) / np.linalg.norm(x)), -k)
 
 
 def anchor_norms(A) -> AnchorNorms:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import INF, Exponent, adjoint, as_exponent, as_matrix, dual_exponent
+from .core import INF, Exponent, adjoint, as_exponent, dual_exponent
 from .exact import AnchorNorms, anchor_norms
 
 if TYPE_CHECKING:
@@ -48,7 +48,7 @@ __all__ = [
 
 #: How each side of a NormBound was certified.
 LOWER_PROVENANCES = ("ones-vector", "eigen-certificate", "boyd", "anchor")
-UPPER_PROVENANCES = ("anchor", "riesz-thorin", "self-adjoint", "schur")
+UPPER_PROVENANCES = ("anchor", "riesz-thorin", "schur")
 
 #: How far n2 / sqrt(n1 * ninf) may fall below 1 for the anchors to count as
 #: log-affine.
@@ -64,10 +64,8 @@ class NormBound:
     "anchor" (exact value at p in {1, 2, inf}, also
     used when an anchor equality certifies the whole envelope).  Upper tags:
     "anchor", "riesz-thorin" (the log-affine envelope of an exact rule, or
-    the two-segment interpolation), "self-adjoint" (the same segment for a
-    self-adjoint matrix, whose profile is symmetric under p <-> q),
-    "schur" (Schur test at the ascent's maximizer, for real nonnegative
-    matrices, rounded outward).
+    the two-segment interpolation), "schur" (Schur test at the ascent's
+    maximizer, for real nonnegative matrices, rounded outward).
     """
 
     p: Exponent
@@ -82,7 +80,7 @@ class NormBound:
         if self.upper_provenance not in UPPER_PROVENANCES:
             raise ValueError(f"unknown upper provenance {self.upper_provenance!r}")
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError("bounds must be finite")
+            raise ValueError(f"bounds must be finite, got [{self.lower}, {self.upper}]")
         if self.lower < 0.0:
             raise ValueError("lower bound must be nonnegative")
         if self.lower > self.upper * (1.0 + 1e-9):
@@ -134,8 +132,7 @@ def _is_self_adjoint(M: np.ndarray) -> bool:
     return M.shape[0] == M.shape[1] and bool(np.array_equal(M, adjoint(M)))
 
 
-def upper_bound_from_anchors(anchors: AnchorNorms, p,
-                             self_adjoint: bool = False) -> UpperEstimate:
+def upper_bound_from_anchors(anchors: AnchorNorms, p) -> UpperEstimate:
     """Certified upper bound at p from the anchor norms of a square matrix.
 
     Exact (tag "anchor") at p in {1, 2, inf}; otherwise the Riesz-Thorin
@@ -157,13 +154,12 @@ def upper_bound_from_anchors(anchors: AnchorNorms, p,
         seg = riesz_thorin_bound(p, Exponent(1.0), anchors.n1, Exponent(2.0), anchors.n2)
     else:
         seg = riesz_thorin_bound(p, Exponent(2.0), anchors.n2, INF, anchors.ninf)
-    return UpperEstimate(seg, "self-adjoint" if self_adjoint else "riesz-thorin")
+    return UpperEstimate(seg, "riesz-thorin")
 
 
 def upper_bound(A, p) -> UpperEstimate:
     """Best certified upper bound for the operator p-norm of a square matrix."""
-    M = as_matrix(A)
-    return upper_bound_from_anchors(anchor_norms(M), p, _is_self_adjoint(M))
+    return upper_bound_from_anchors(anchor_norms(A), p)
 
 
 @dataclass(frozen=True)

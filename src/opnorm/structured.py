@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (REL_TOL, _check_seed, _ldexp, as_exponent, as_matrix, as_square,
+from .core import (REL_TOL, _check_seed, _unit_scale, as_exponent, as_matrix, as_square,
                    as_vector, dual_exponent, vec_norm)
 
 __all__ = [
@@ -214,8 +214,9 @@ def _as_cyclic(A, kind: type[_CyclicLayout]) -> _CyclicLayout | None:
     if n != m:
         return None
     coeffs = M[0, :]
-    if float(np.abs(M - coeffs[kind._index(n)]).max()) <= _struct_tol(M):
-        return kind(coeffs)
+    with np.errstate(over="ignore"):  # a difference past the range is a mismatch
+        if float(np.abs(M - coeffs[kind._index(n)]).max()) <= _struct_tol(M):
+            return kind(coeffs)
     return None
 
 
@@ -294,14 +295,13 @@ def _block_sizes_fit(M: np.ndarray, sizes: list[int]):
     passes both tests.  An outer product u v* passes the first at every
     size, the second only where the segments of v are proportional.  The
     rows are scaled by the power of two that brings the largest modulus into
-    [0.5, 1), so neither the ratio nor the residual under- or overflows.
+    [1, 2), so neither the ratio nor the residual under- or overflows.
     """
     n = M.shape[0]
     mags = np.abs(M)
     r0, c0 = divmod(int(np.argmax(mags)), n)
     top = float(mags[r0, c0])
-    k = -math.frexp(top)[1]
-    rows = _ldexp(M[(r0 + np.array([0, *sizes])) % n], k)
+    rows, k = _unit_scale(M[(r0 + np.array([0, *sizes])) % n])  # row r0 holds top
     x, Y = rows[0], rows[1:]
     resid = np.abs(Y - (Y[:, c0] / x[c0])[:, None] * x).max(axis=1)
     tol = _SHIFT_SLACK * REL_TOL * math.ldexp(top, k) + math.ldexp(_SHIFT_SUBNORMAL_ULPS, k - 1074)
@@ -326,24 +326,25 @@ def doubly_balanced_norm(A) -> float | None:
     Entries must be real and nonnegative up to 1e-12 of the largest modulus
     (tiny negatives are clamped to 0) and all row and column sums must agree
     to 1e-9 relative; the common sum is then the operator norm at every
-    exponent.
+    exponent.  The sums are taken on the clamped matrix brought to modulus
+    [1, 2) by a power of two, so they do not overflow, and the common sum is
+    scaled back exactly; it is inf only where it lies past the double range.
     """
     M = as_square(A)
     tol = 1e-12 * float(np.abs(M).max())
     if float(np.abs(M.imag).max()) > tol:
         return None
-    R = M.real.copy()
-    if float(R.min()) < -tol:
+    if float(M.real.min()) < -tol:
         return None
-    np.clip(R, 0.0, None, out=R)
+    R, k = _unit_scale(np.maximum(M.real, 0.0))
     rows = R.sum(axis=1)
     cols = R.sum(axis=0)
-    alpha = float(rows.mean())
+    alpha = float(rows.sum()) / len(rows)  # the bits of rows.mean(), in fewer calls
     if alpha == 0.0:
         return 0.0  # all entries clamped to zero
     dev = max(float(np.abs(rows - alpha).max()), float(np.abs(cols - alpha).max()))
     if dev <= 1e-9 * alpha:
-        return alpha
+        return alpha * 2.0 ** -k  # a Python float: inf past the range, no warning
     return None
 
 
@@ -366,13 +367,6 @@ def _root_powers(n: int) -> np.ndarray:
         table[k] = np.exp(2j * np.pi * k * idx / n)
     table.flags.writeable = False
     return table
-
-
-def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a * 2**k, k) with k bringing the largest modulus into [0.5, 1);
-    k = 0 for the zero vector."""
-    k = -math.frexp(float(np.abs(a).max()))[1]
-    return _ldexp(a, k), k
 
 
 def circulant_two_norm(c: Circulant) -> float:
@@ -486,25 +480,23 @@ def _common_multiple(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(coef, ref) with every row stack[k] = coef[k] * ref, or None.
 
     ``ref`` is the row holding the largest entry; the fit is checked to the
-    structural tolerance.  The projections pair each row with ref, both
-    scaled by the power of two that brings the largest modulus into
-    [0.5, 1): that is exact down to the subnormal range, so coef is
-    unchanged, and neither the projections nor their common divisor
-    ||unit||^2, which lies between 0.25 and the row length, under- or
+    structural tolerance.  The fit runs on the stack scaled by the power of
+    two that brings the largest modulus into [1, 2): that is exact down to
+    the subnormal range, so coef and the verdict are those of the stack, and
+    neither the projections, their common divisor ||unit||^2, which lies
+    between 1 and 4 times the row length, nor the residual under- or
     overflow.
     """
-    mags = np.abs(stack)
+    scaled = _unit_scale(stack)[0]
+    mags = np.abs(scaled)
     i = int(np.argmax(mags.max(axis=1)))
-    top = float(mags[i].max())
-    ref = stack[i]
-    k = -math.frexp(top)[1]
-    unit = _ldexp(ref, k)
-    # ref holds the largest entry, so a zero ref means an all-zero stack,
+    unit = scaled[i]
+    # unit holds the largest entry, so a zero unit means an all-zero stack,
     # which fits with zero coefficients
-    coef = (_ldexp(stack, k) @ np.conj(unit)) / (np.vdot(unit, unit).real or 1.0)
-    if float(np.abs(stack - coef[:, None] * ref[None, :]).max()) > REL_TOL * top:
+    coef = (scaled @ np.conj(unit)) / (np.vdot(unit, unit).real or 1.0)
+    if float(np.abs(scaled - coef[:, None] * unit[None, :]).max()) > REL_TOL * float(mags[i].max()):
         return None
-    return coef, ref
+    return coef, stack[i]
 
 
 def column_embed(xi) -> np.ndarray:

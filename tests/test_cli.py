@@ -114,6 +114,37 @@ def test_classify_reads_the_analysis(magic_path, monkeypatch, capsys):
     assert doc["log_affine"] and doc["la_ratio"] == 1.0
 
 
+def _strict_json(line: str):
+    """json.loads that rejects the Infinity and NaN tokens, which are no JSON."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(line, parse_constant=reject)
+
+
+_TOP_OF_RANGE = {
+    # every row and column sum is representable; the recognizers once took
+    # differences of entries of opposite sign, which overflowed on the third
+    "balanced": 1e307 * magic3(),
+    "general": 1e307 * np.abs(np.random.default_rng(0).standard_normal((6, 6))),
+    "log-affine": np.array([[0.0, -1e308], [1e308, 0.0]]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rule", sorted(_TOP_OF_RANGE))
+def test_classify_and_bounds_at_the_top_of_the_double_range(tmp_path, capsys, rule):
+    p = tmp_path / "top.json"
+    write_matrix(p, _TOP_OF_RANGE[rule])
+    assert main(["classify", str(p)]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["rule"] == rule
+    if rule == "balanced":
+        assert doc["alpha"] == doc["anchors"]["one"] == pytest.approx(1.5e308, rel=1e-15)
+    assert main(["bounds", str(p), "--p", "1,1.5,3,inf"]) == 0
+    rows = [_strict_json(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 4 and all(0.0 < r["lower"] <= r["upper"] for r in rows)
+
+
 def test_classify_requires_square(tmp_path):
     p = tmp_path / "r.csv"
     write_matrix(p, np.ones((2, 3)))

@@ -358,7 +358,7 @@ def test_nonnegative_bounds_keep_the_fixed_point_ascent():
         anchors = analysis.anchors
         pinned = {1.0: anchors.n1, 2.0: anchors.n2, math.inf: anchors.ninf}
         for p, b in zip(grid, analysis.bounds(grid)):
-            up = upper_bound_from_anchors(anchors, p, analysis.self_adjoint)
+            up = upper_bound_from_anchors(anchors, p)
             if p.value in pinned:
                 lo, tag = pinned[p.value], "anchor"
             else:
@@ -641,7 +641,7 @@ def test_circulant_lower_end_is_the_larger_of_certificate_and_ascent():
         analysis = analyze(densify(Circulant(random_complex(rng, n))))
         assert analysis.rule == "circulant"
         an = analysis.anchors
-        ups = [upper_bound_from_anchors(an, p, analysis.self_adjoint).value for p in grid]
+        ups = [upper_bound_from_anchors(an, p).value for p in grid]
         lows = best_lower_bound(analysis.matrix, grid, anchors=an, _uppers=ups)
         for p, b, (value, tag, _) in zip(grid, analysis.bounds(grid), lows):
             if p.value in (1.0, 2.0) or p.is_inf:
@@ -659,8 +659,8 @@ def test_every_rule_raises_on_a_lower_end_above_its_upper_end(monkeypatch):
     # matrix alone, as one block of a direct sum and as a tensor core
     segment = estimator.upper_bound_from_anchors
 
-    def halved(anchors, p, self_adjoint=False):
-        up = segment(anchors, p, self_adjoint)
+    def halved(anchors, p):
+        up = segment(anchors, p)
         return up if up.provenance == "anchor" else up._replace(value=up.value / 2.0)
 
     monkeypatch.setattr(estimator, "upper_bound_from_anchors", halved)

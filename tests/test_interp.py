@@ -88,7 +88,7 @@ def test_upper_bound_dominates_attained_values():
 def test_self_adjoint_tag():
     H = np.array([[1.0, 3.0], [3.0, 1.0]])
     est = upper_bound(H, 4)
-    assert est.provenance == "self-adjoint"
+    assert est.provenance == "riesz-thorin"
     # self-adjoint profile is symmetric under p <-> q, so both sides agree
     assert upper_bound(H, 4).value == pytest.approx(upper_bound(H, 4 / 3).value, rel=1e-12)
 

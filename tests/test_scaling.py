@@ -1,11 +1,12 @@
 """Scale invariance: every verdict and every bound follows the matrix's scale.
 
-The recognizers' tolerances are relative to the largest modulus, and the
-anchors, the ascent and the structure fits neither under- nor overflow, so
-``s * A`` gets the rule of ``A`` and bounds ``s`` times those of ``A`` from
-1e-310 up to 1e300.  Where a subnormal-scale check is held to 1e-12, the
-reference is the same matrix brought back to modulus 1 by an exact power
-of two.
+``analyze`` scales the matrix once, by the power of two that brings its
+largest modulus into [1, 2), and scales every end back; the recognizers'
+tolerances are relative to the largest modulus.  So ``s * A`` gets the rule
+of ``A`` and bounds ``s`` times those of ``A`` from 1e-310 up to 1e307,
+where magic3's norm is 1.5e308.  Where a subnormal-scale check is held to
+1e-12, the reference is the same matrix brought back to modulus 1 by an
+exact power of two.
 """
 
 import math
@@ -21,7 +22,7 @@ from opnorm.exact import AnchorNorms
 from opnorm.interp import _unimodal, profile
 from opnorm.structured import Circulant, UnitaryPermutation, densify, magic3
 
-_SCALES = (1e-310, 1e-309, 1e-300, 1e-150, 1e-13, 1.0, 1e150, 1e300)
+_SCALES = (1e-310, 1e-309, 1e-300, 1e-150, 1e-13, 1.0, 1e150, 1e300, 1e307)
 
 
 def _aligned_circulant(n: int = 5) -> np.ndarray:
