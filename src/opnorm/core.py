@@ -155,32 +155,25 @@ def as_square(entries) -> np.ndarray:
     return M
 
 
-def _ldexp(z: np.ndarray, k: int) -> np.ndarray:
-    """z * 2**k for an array z and an integer k >= -1074 that keeps z * 2**k
-    finite, one rounding per part: exact unless an entry lands in the
-    subnormal range.
-
-    k may exceed 1023, where 2**k is no double, as it must to bring a
-    subnormal-scale matrix to modulus 1; z is then subnormal, so z * 2**1023
-    is exact.
-    """
-    if k > 1023:
-        return z * 2.0 ** 1023 * math.ldexp(1.0, k - 1023)
-    return z * math.ldexp(1.0, k)
-
-
-def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
+def _unit_scale(a: np.ndarray, top: float | None = None) -> tuple[np.ndarray, int]:
     """(a * 2**k, k) with k bringing the largest modulus of a into [1, 2),
-    from one modulus pass; a itself where k = 0.
+    from one modulus pass, or none where the caller passes that modulus as
+    ``top``; a itself where k = 0.
 
     The scaling is exact but for entries that land below the normal range,
-    at most 2^-1022 of the largest.  A scaled copy of a matrix that
-    ``as_matrix`` returned is finite, so it is returned as checked too.
+    at most 2^-1022 of the largest.  k exceeds 1023, where 2**k is no
+    double, only for a subnormal a, which 2**1023 scales exactly.  A scaled
+    copy of a matrix that ``as_matrix`` returned is finite, so it is
+    returned as checked too.  A complex entry can have finite parts and a
+    modulus past the double range, and so a norm past it: ValueError.
     """
-    k = 1 - math.frexp(float(np.abs(a).max()))[1]
+    top = float(np.abs(a).max()) if top is None else top
+    if not math.isfinite(top):
+        raise ValueError("an entry's modulus lies past the double range")
+    k = 1 - math.frexp(top)[1]
     if k == 0:
         return a, 0
-    out = _ldexp(a, k)
+    out = a * 2.0 ** 1023 * math.ldexp(1.0, k - 1023) if k > 1023 else a * math.ldexp(1.0, k)
     return (_frozen(out) if _VALIDATED.get(id(a)) is a else out), k
 
 

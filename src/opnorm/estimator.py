@@ -38,12 +38,14 @@ brings a matrix's largest modulus into [1, 2), exact but for entries below
 sum first, so each block scales itself, then scales the matrix once; every
 recognizer, anchor and rule reads that copy, and ``Analysis.bounds`` scales
 every end back by the same power of two, raising ValueError for an end past
-the double range.  So intervals follow the matrix's scale bit for bit, from
-the subnormal range to the top of the double range.  The public functions
-that the engine calls on that copy (the ascent, the two-norm, the
-recognizers) scale their own input by the same helper, which finds nothing
-to do on the engine's copy; the ascent recomputes its value on the caller's
-matrix.  Only the Schur test keeps a scaling of its own.
+the double range.  So intervals follow the matrix's scale bit for bit
+wherever the entries and ends are normal, up to the top of the double
+range; an end scaled back below the normal range rounds, and is stepped one
+ulp outward where it rounded inward.  The public functions that the engine
+calls on that copy (the ascent, the two-norm, the recognizers) scale their
+own input by the same helper, which finds k = 0 on the engine's copy and
+copies nothing; the ascent recomputes its value on the caller's matrix.
+Only the Schur test keeps a scaling of its own.
 
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
@@ -909,7 +911,7 @@ class Analysis:
     and keeps its units, so its ``scale`` is 0.  ``matrix``, ``anchors`` and
     every interval are in the caller's units: ``bounds`` scales each floor
     in and each end out by that same power of two, exactly in the normal
-    range.  The rule only proposes
+    range and rounded outward below it.  The rule only proposes
     candidate ends at each exponent; ``bounds`` picks, checks and tags them
     in one step, the same for every rule.  The lower candidates that need no
     ascent, a circulant's eigen certificate (a Hankel layout's through its
@@ -985,7 +987,9 @@ class Analysis:
         The candidates are at ``scale``.  Its factor 2^-scale is a Python
         float, always a double, whose products and quotients round once and
         give inf past the double range without a warning: a floor there
-        settles its exponent, and NormBound rejects such an end."""
+        settles its exponent, and NormBound rejects such an end.  An end
+        scaled below the normal range rounds, so it is stepped outward
+        where it rounded inward."""
         out, to_caller = [], 2.0 ** -self.scale
         floors = [f / to_caller for f in floors]
         for p, (lowers, uppers) in zip(ps, self._candidates(ps, seed, floors)):
@@ -993,7 +997,13 @@ class Analysis:
             up, up_tag = min(uppers, key=lambda c: c[0])
             if lo > up * (1.0 + 1e-9):
                 raise RuntimeError(f"bound inconsistency at p={p}: lower {lo} exceeds upper {up}")
-            out.append(NormBound(p, min(lo, up) * to_caller, up * to_caller, lo_tag, up_tag))
+            lo = min(lo, up)
+            lo_c, up_c = lo * to_caller, up * to_caller
+            # a product's quotient by to_caller is exact, so it shows which
+            # way the product rounded
+            lo_c = math.nextafter(lo_c, 0.0) if lo_c / to_caller > lo else lo_c
+            up_c = math.nextafter(up_c, math.inf) if up_c / to_caller < up else up_c
+            out.append(NormBound(p, lo_c, up_c, lo_tag, up_tag))
         return tuple(out)
 
     def _candidates(self, ps, seed, floors):
@@ -1088,7 +1098,8 @@ def analyze(A) -> Analysis:
     M = as_square(A)
 
     if M.shape[0] == 1:
-        v = abs(complex(M[0, 0]))
+        # abs() raises OverflowError past the double range, np.abs gives inf
+        v = abs(complex(M[0, 0])) if np.abs(M[0, 0]) < math.inf else math.inf
         return Analysis(M, "scalar", AnchorNorms(v, v, v))
 
     blocks = split_direct_sum(M)
@@ -1109,9 +1120,9 @@ def analyze(A) -> Analysis:
         return found("circulant", AnchorNorms(total, circulant_two_norm(circ), total))
 
     if as_hankel(unit) is not None:
-        # H = P C with P the phase-free row flip i -> -i mod n, so H shares
-        # every p-norm with its circulant factor C, read off M's first row in
-        # the caller's units
+        # H = P C (``hankel_factor``) with P a phase-free permutation, so H
+        # shares every p-norm with C, whose first row is that of M: built
+        # from it, C keeps the caller's units
         return Analysis(M, "hankel", parts=(analyze(densify(Circulant(M[0]))),))
 
     tensor = as_tensor_rank_one(unit)

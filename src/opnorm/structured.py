@@ -301,7 +301,7 @@ def _block_sizes_fit(M: np.ndarray, sizes: list[int]):
     mags = np.abs(M)
     r0, c0 = divmod(int(np.argmax(mags)), n)
     top = float(mags[r0, c0])
-    rows, k = _unit_scale(M[(r0 + np.array([0, *sizes])) % n])  # row r0 holds top
+    rows, k = _unit_scale(M[(r0 + np.array([0, *sizes])) % n], top)  # row r0 holds top
     x, Y = rows[0], rows[1:]
     resid = np.abs(Y - (Y[:, c0] / x[c0])[:, None] * x).max(axis=1)
     tol = _SHIFT_SLACK * REL_TOL * math.ldexp(top, k) + math.ldexp(_SHIFT_SUBNORMAL_ULPS, k - 1074)
@@ -331,12 +331,14 @@ def doubly_balanced_norm(A) -> float | None:
     scaled back exactly; it is inf only where it lies past the double range.
     """
     M = as_square(A)
-    tol = 1e-12 * float(np.abs(M).max())
+    top = float(np.abs(M).max())
+    tol = 1e-12 * top
     if float(np.abs(M.imag).max()) > tol:
         return None
     if float(M.real.min()) < -tol:
         return None
-    R, k = _unit_scale(np.maximum(M.real, 0.0))
+    # the clamped matrix's largest entry is top, to the rounding of a modulus
+    R, k = _unit_scale(np.maximum(M.real, 0.0), top)
     rows = R.sum(axis=1)
     cols = R.sum(axis=0)
     alpha = float(rows.sum()) / len(rows)  # the bits of rows.mean(), in fewer calls
@@ -415,7 +417,11 @@ def classify_circulant_la(c: Circulant) -> LAWitness:
 
 
 def hankel_factor(h: HankelMod) -> tuple[UnitaryPermutation, Circulant]:
-    """Exact factorization H = P * C with P the phase-free row flip i -> -i mod n."""
+    """Exact factorization H = P * C with P the phase-free row flip i -> -i mod n.
+
+    C has the layout's coefficients, the first row of H, as its first row:
+    ``analyze`` builds C from that row directly, without P.
+    """
     n = h.n
     sigma = tuple((n - i) % n for i in range(n))
     perm = UnitaryPermutation(sigma, np.ones(n))

@@ -11,6 +11,8 @@ nonnegative, signed and complex matrices, scaled so that max(n1, ninf) is
 every warning is an error.  The property draws real and complex matrices,
 structured ones and direct sums whose blocks lie about 2^1000 apart, and
 every k that keeps all entries normal and max(n1, ninf) below 2^1023.
+Ends that land below the normal range round outward, and an entry whose
+modulus lies past the double range is a ValueError.
 """
 
 import math
@@ -22,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnorm.estimator import analyze, certified_bound
+from opnorm.exact import norm_two
 from opnorm.structured import (Circulant, HankelMod, TensorRankOne, densify, direct_sum,
-                               magic3, magic4, random_unitary_permutation)
+                               doubly_balanced_norm, magic3, magic4, random_unitary_permutation)
 
 
 def _aligned(rng, n: int) -> np.ndarray:
@@ -94,6 +97,35 @@ def test_reproducers_at_the_top_of_the_range():
     assert 4.28014e307 < b.lower <= b.upper < 4.28015e307
     with pytest.raises(ValueError, match="finite"):
         certified_bound(np.full((4, 4), 1e308), 3)
+
+
+def test_ends_below_the_normal_range_round_outward():
+    # 2^-1060 M scales up to its unit-scale copy exactly, but its ends scale
+    # back below the normal range, where a product rounds: each must still
+    # hold the unit-scale copy's end, scaled back
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        got = analyze(2.0 ** -1060 * np.abs(rng.standard_normal((4, 4))))
+        assert got.rule == "general"
+        for want, b in zip(analyze(got.unit).bounds((1.5, 3.0)), got.bounds((1.5, 3.0))):
+            assert math.ldexp(b.lower, got.scale) <= want.lower
+            assert want.upper <= math.ldexp(b.upper, got.scale)
+
+
+_HUGE = 1.5e308 + 1.5e308j  # finite parts, modulus past the double range
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: analyze([[_HUGE, 1.0], [1.0, 1.0]]),
+    lambda: analyze([[_HUGE]]).bounds((3.0,)),
+    lambda: analyze([[_HUGE, 0.0], [0.0, 1.0]]).bounds((3.0,)),
+    lambda: doubly_balanced_norm([[_HUGE, 1.0], [1.0, 1.0]]),
+    lambda: norm_two([[_HUGE, 1.0], [1.0, 1.0]]),
+], ids=["analyze", "scalar", "direct-sum", "doubly-balanced", "norm-two"])
+def test_an_entry_whose_modulus_overflows_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # ---------------------------------------------------------------------------
