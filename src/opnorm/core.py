@@ -102,7 +102,8 @@ def dual_exponent(p) -> Exponent:
 
 
 def as_vector(entries) -> np.ndarray:
-    """Validate and freeze a nonempty 1-D complex128 array."""
+    """Validate and freeze a nonempty 1-D complex128 array: a view of the
+    read-only copy, which cannot be made writeable again."""
     arr = np.array(entries, dtype=np.complex128, order="C")
     if arr.ndim != 1:
         raise ValueError(f"vector must be 1-D, got shape {arr.shape}")
@@ -111,7 +112,7 @@ def as_vector(entries) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
     arr.setflags(write=False)
-    return arr
+    return arr.view()
 
 
 #: The arrays ``as_matrix`` returned, by id, for as long as they live.

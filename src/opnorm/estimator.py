@@ -22,8 +22,15 @@ gap (U - obj) / U, while the best start climbs on to the 1e-12 test.  With
 U the engine also gives a floor L, the largest lower end it holds without
 an ascent (a circulant's eigen certificate, a direct sum's exactly pinned
 blocks), never above U: the best starts at L, so starts below L trail and
-stop early.  Each side of a step takes one modulus, one row maximum and one
-fractional power, which give both the row norms and the next direction.
+stop early.  The rows with U also extrapolate: near a maximum the ascent
+converges linearly, so from step 11 on, every third step, a row whose last
+two gains fell by a ratio rho^2 in (0.25, 0.99) jumps ahead along its last
+step, and returns to the plain iterate if the jump lowered its objective.
+With U the value returned is also rounded down by an a-priori bound on its
+rounding, so that it lies at or below the quotient its maximizer attains in
+exact arithmetic.  Each side of a step takes one modulus, one row maximum
+and one fractional power, which give both the row norms and the next
+direction.
 The seeded random starts are built once per (n, count, seed) and cached as
 a read-only block; the column norms that pick a start, the start
 normalisation and the final objectives are one pass each over every
@@ -149,6 +156,11 @@ class AscentResult:
     winning start has stopped on the 1e-12 test, up to rounding, so
     ``converged`` means the same there.  With a floor above every start too
     (``ascent_lower_bound``), the winner may have stopped on the gap test.
+    With an upper end, ``iterations`` also counts the steps that evaluated
+    an extrapolation, and ``value`` is rounded down by an a-priori bound on
+    the rounding of A maximizer and of the norms, so that it lies at or
+    below ||A maximizer||_p / ||maximizer||_p in exact arithmetic; without
+    one it is the computed quotient, which can lie a few ulps above it.
     """
 
     value: float
@@ -281,12 +293,19 @@ def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray,
     sum u s s.  Here m is clamped to the smallest normal double, which keeps
     u / m finite: at r = 2 a zero row has u = 0^0 = 1.
     """
+    m, sums = _image_sums(Y, S, U, E, fast)
+    np.multiply(Y, U / m[:, None], out=D)
+    return m, sums
+
+
+def _image_sums(Y: np.ndarray, S: np.ndarray, U: np.ndarray, E, fast) -> tuple[np.ndarray, np.ndarray]:
+    """m = max|y| and sum u s s of ``_image_step`` for every row y of Y,
+    which give its r-norm m (sum u s s)^(1/r), with s and u left in S and
+    U."""
     a = np.abs(Y)
     m = np.maximum(a.max(axis=1), _NORMAL)
-    scale = m[:, None]
-    np.divide(a, scale, out=S)
+    np.divide(a, m[:, None], out=S)
     _powers(S, U, E, fast)
-    np.multiply(Y, U / scale, out=D)
     return m, (U * S * S).sum(axis=1)
 
 
@@ -323,6 +342,14 @@ _ASCENT_GAIN_TOL = 1e-12
 #: _ASCENT_GAP_TOL (U - obj) / U, this fraction of the relative gap that its
 #: lower end still has to close.
 _ASCENT_GAP_TOL = 2e-6
+#: A row with an upper end extrapolates at every _EXTRAPOLATE_EVERY-th step
+#: from step _EXTRAPOLATE_FROM on, where the ratio rho^2 of its last two
+#: objective gains lies strictly between the two ratios below, by the factor
+#: min(rho / (1 - rho), _EXTRAPOLATE_MAX).
+_EXTRAPOLATE_FROM = 11
+_EXTRAPOLATE_EVERY = 3
+_EXTRAPOLATE_RATIOS = (0.25, 0.99)
+_EXTRAPOLATE_MAX = 8.0
 
 
 @lru_cache(maxsize=64)  # bounded: one small block per (n, count, seed)
@@ -416,6 +443,20 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     it or the floor stop early.  The rows go on up to 500 steps, and a run
     whose rows have all frozen costs nothing.  An overflow in either product
     makes a row norm nonfinite, which raises ValueError.
+
+    A row with U also extrapolates, since near a maximum the iterates
+    converge linearly and the objective gains fall by a nearly constant
+    ratio rho^2 (Aitken's delta^2; Sidi, *Vector Extrapolation Methods with
+    Applications*, SIAM, 2017).  At step 11 and every third step after it,
+    a row whose last two gains have a ratio rho^2 in (0.25, 0.99) takes, in
+    place of x_{k+1}, x_e = x_{k+1} + min(rho / (1 - rho), 8) (x_{k+1} - x_k)
+    at r-norm 1, normalised by the image step's own powers.  The next step
+    evaluates x_e: where its objective fell below the row's last one, the
+    row takes back x_{k+1} and that objective, having lost that one step,
+    and no row stops on that step.  Those two gains come from steps that
+    evaluated no extrapolation, and every decision reads the row's own
+    values and the step number, so a run keeps its bits in any block; rows
+    without U never extrapolate.
     """
     # each working matrix's runs together, and each exponent's within them,
     # so that the rows at a power's fast exponent stay one stretch
@@ -438,11 +479,15 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     gapped = any(U is not None for U in ends)
     # per live row: the powers that take a row sum to the objective and to
     # the r-norm of the next direction, tau and tau / U of the gap test
-    # (zero where U is None), and its exponents r - 2 and q - 1
+    # (zero where U is None), its exponents r - 2 and q - 1, 1 where it may
+    # extrapolate (U is given) and nan elsewhere, and that times its
+    # objective gain at the step before each step that may extrapolate
     rows = np.array([[1.0 / r for r in rs], [(q - 1.0) / q for q in qs],
                      [0.0 if U is None else _ASCENT_GAP_TOL for U in ends],
-                     [0.0 if U is None else _ASCENT_GAP_TOL / U for U in ends], ups, downs])
+                     [0.0 if U is None else _ASCENT_GAP_TOL / U for U in ends], ups, downs,
+                     [math.nan if U is None else 1.0 for U in ends], [math.nan] * len(runs)])
     rows = rows.repeat(counts, axis=1)
+    lo_ratio, hi_ratio = _EXTRAPOLATE_RATIOS
     # per side: the one exponent of every row, which np.power takes as a
     # scalar, or None and the stretches of rows that take a fast power
     sides = [(e[0], None) if len(set(e)) == 1 else (None, _fast_stretches(e)) for e in (ups, downs)]
@@ -497,6 +542,7 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     best = np.array([L for *_, L in runs])
     (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
      fwd, back, e_up, up, e_down, down) = layout(k)
+    trial = None  # the rows whose extrapolation this step evaluates
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for step in range(_ASCENT_MAX_ITER):
             for x, w, y in fwd:
@@ -511,11 +557,21 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
             # product is finite exactly when all are (inf * 0 is nan)
             if not math.isfinite(obj.dot(nrm)):
                 raise ValueError("ascent iterates must be finite")
+            if trial is not None:
+                # a row whose extrapolated iterate fell below its last
+                # objective takes back the iterate it left, and its last
+                # objective, at the cost of this one step
+                fell = trial & ~((obj >= prev) & (nrm > 0.0))
+                if np.count_nonzero(fell):
+                    at = np.flatnonzero(fell)
+                    Xn[at], nrm[at], obj[at] = left[at], 1.0, prev[at]
             gain = obj - prev
             # tau - obj tau / U is tau (U - obj) / U, and 0 where U is None or
             # the row has led
             tol = np.maximum(_ASCENT_GAIN_TOL, tau - obj * tau_u) if gapped else _ASCENT_GAIN_TOL
             done = gain <= tol * prev
+            if trial is not None:
+                done &= ~trial  # no row stops on the step that evaluates its jump
             if gapped and np.count_nonzero(done):
                 # a row that passes the gap test alone while neither its run's
                 # floor nor any row of its run is above it climbs on, on the
@@ -528,6 +584,22 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
                     done &= ~lead
                 np.maximum.at(best, run_of[done], obj[done])
             stop = done | (nrm == 0.0)
+            trial = start = None
+            phase = (step - _EXTRAPOLATE_FROM) % _EXTRAPOLATE_EVERY if gapped else -1
+            if phase == _EXTRAPOLATE_EVERY - 1:
+                # the gain that the next step's test reads, nan where U is
+                # None; a row that goes on has gained, so it is positive
+                np.multiply(gain, rows[6], out=rows[7])
+            elif phase == 0 and step >= _EXTRAPOLATE_FROM:
+                # the gains of the last two steps, neither of which evaluated
+                # an extrapolation, fall by a ratio rho^2 near a maximum;
+                # rows without U read a nan ratio, so they never jump
+                ratio = gain / rows[7]
+                jump = (ratio > lo_ratio) & (ratio < hi_ratio)
+                if np.count_nonzero(jump):
+                    rho = np.sqrt(np.where(jump, ratio, 0.0))
+                    factor = np.minimum(rho / (1.0 - rho), _EXTRAPOLATE_MAX)
+                    start = Xl  # x_k
             if np.count_nonzero(stop):  # the cheapest test of a small mask
                 iters[live[stop]] = step + 1
                 converged[live[done]] = True
@@ -540,10 +612,25 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
                 if not live.size:
                     break
                 rows = rows[:, keep]
+                if start is not None:
+                    factor, start = factor[keep], Xl[keep]
                 (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
                  fwd, back, e_up, up, e_down, down) = layout(live.size)
-            np.divide(Xn, nrm[:, None], out=Xl)
             prev = obj
+            if start is None:
+                np.divide(Xn, nrm[:, None], out=Xl)
+            else:
+                # x_e = x_{k+1} + factor (x_{k+1} - x_k), normalised to r-norm 1
+                # by the image step's own powers, in place of x_{k+1}, which is
+                # kept; the next step evaluates it.  factor is 0 off the jump
+                left = Xn / nrm[:, None]
+                Xe = left - start
+                Xe *= factor[:, None]
+                Xe += left
+                top, sums = _image_sums(Xe, S, U, e_up, up)
+                trial = factor > 0.0
+                np.copyto(Xl, left)
+                np.divide(Xe, (top * sums ** root_obj)[:, None], out=Xl, where=trial[:, None])
         else:
             X[live] = Xl  # these rows moved on after their last objective
         # each start's objective at its final iterate, from one product per
@@ -567,22 +654,23 @@ def _exponent_args(p) -> tuple[tuple[Exponent, ...], bool]:
     return (as_exponent(p),), True
 
 
-def _endpoint_ascent(M: np.ndarray, p: Exponent) -> AscentResult:
-    """The exact attaining coordinate formulas at p in {1, inf}."""
+def _endpoint_ascent(M: np.ndarray, p: Exponent) -> tuple:
+    """(value, maximizer, 0, True) of the exact attaining coordinate formulas
+    at p in {1, inf}."""
     n = M.shape[0]
     if p.value == 1.0:
         value, j = norm_one_attained(M)
         x = np.zeros(n, dtype=np.complex128)
         x[j] = 1.0
-        return AscentResult(value, x, 0, True)
-    i = norm_inf_attained(M)[1]
+        return value, x, 0, True
+    value, i = norm_inf_attained(M)
     row = np.conj(M[i])
     mod = np.abs(row)
     x = np.divide(row, mod, out=np.zeros(n, dtype=np.complex128), where=mod > 0.0)
     if not np.any(x):
         x = np.zeros(n, dtype=np.complex128)
         x[0] = 1.0
-    return AscentResult(vec_norm(M @ x, INF) / vec_norm(x, INF), x, 0, True)
+    return value, x, 0, True
 
 
 def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
@@ -612,8 +700,15 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
     None for no end).  A start of an exponent with an end that trails the
     exponent's best then also stops once its relative gain is below
     2e-6 (U - obj) / U, a gain too small to move the lower end against the
-    gap left to U; the best start climbs on to the 1e-12 test.  None
-    everywhere, the default, is the 1e-12 test alone, bit for bit.
+    gap left to U; the best start climbs on to the 1e-12 test.  Every start
+    of such an exponent also extrapolates along its last step where its
+    gains fall at a steady ratio (``_block_ascent``), and the value returned
+    is rounded down by gamma n1^(1/p) ninf^(1-1/p) + (3 n + 8) u value and
+    one ulp, gamma = 2 sqrt(2) (n + 2) u, with n1 and ninf from one pass
+    over |A| (``_rounded_down``): without it the faster climb lands a few
+    ulps above the exact quotient of its maximizer, and above a circulant's
+    eigen certificate where that is the norm.  None everywhere, the
+    default, is the 1e-12 test alone, bit for bit.
 
     ``_floors``, in the same form, gives a floor 0 <= L <= U per exponent: a
     lower end that the engine already holds without an ascent, such as a
@@ -650,30 +745,43 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
         runs = [(W, r, next(starts[id(W)]), None if u is None else math.ldexp(u, k),
                  0.0 if u is None else math.ldexp(f, k)) for W, r, u, f in plan]
         found = iter(zip(runs, _block_ascent(runs)))
-    results = []
-    for e in ps:
+    results, lines = [], None
+    for e, u in zip(ps, ends):
         if e.value == 1.0 or e.is_inf:
-            results.append(_endpoint_ascent(M, e))
-            continue
-        (W, r, *_), (xi, iterations, converged) = next(found)
-        if e.value < 2.0:
-            # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at
-            # least the dual objective, by the Hoelder equality of the duality
-            # map; it is taken as in _image_step, Phi_r(y) / max|y|^(r-1) at
-            # y = W eta
-            y = W @ xi
-            a = np.abs(y)
-            scale = max(float(a.max()), _NORMAL)
-            xi = y * ((a / scale) ** (r.value - 2.0) / scale)
-            if not np.any(xi):
-                xi = np.ones(M.shape[0], dtype=np.complex128)
-            xi = xi / vec_norm(xi, e)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            value = vec_norm(M @ xi, e)
-        if not math.isfinite(value):
-            raise ValueError("ascent value must be finite")
-        results.append(AscentResult(value, xi, iterations, converged))
+            value, *rest = _endpoint_ascent(M, e)
+        else:
+            value, *rest = _climbed(M, e, *next(found))
+        if u is not None:
+            if lines is None:
+                a = np.abs(M)
+                lines = float(a.sum(axis=0).max()), float(a.sum(axis=1).max())
+            value = _rounded_down(value, e, M.shape[0], *lines)
+        results.append(AscentResult(value, *rest))
     return results[0] if one else tuple(results)
+
+
+def _climbed(M: np.ndarray, e: Exponent, run, winner) -> tuple:
+    """(value, maximizer, iterations, converged) of the winning start of
+    ``_block_ascent``'s run for exponent e, mapped back to M and its value
+    recomputed there."""
+    (W, r, *_), (xi, iterations, converged) = run, winner
+    if e.value < 2.0:
+        # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at
+        # least the dual objective, by the Hoelder equality of the duality
+        # map; it is taken as in _image_step, Phi_r(y) / max|y|^(r-1) at
+        # y = W eta
+        y = W @ xi
+        a = np.abs(y)
+        scale = max(float(a.max()), _NORMAL)
+        xi = y * ((a / scale) ** (r.value - 2.0) / scale)
+        if not np.any(xi):
+            xi = np.ones(M.shape[0], dtype=np.complex128)
+        xi = xi / vec_norm(xi, e)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value = vec_norm(M @ xi, e)
+    if not math.isfinite(value):
+        raise ValueError("ascent value must be finite")
+    return value, xi, iterations, converged
 
 
 def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
@@ -726,6 +834,26 @@ _U = 2.0 ** -53
 #: Smallest x_j and x_j^(p-1), and the floor of y / max y, in the Schur
 #: bound: a quotient by any of them stays normal, and far from overflow.
 _SCHUR_FLOOR = 2.0 ** -600
+
+
+def _rounded_down(value: float, p: Exponent, n: int, n1: float, ninf: float) -> float:
+    """An attained value ||M x||_p, computed for an x of p-norm 1 up to
+    rounding, lowered so that it lies at or below the exact quotient
+    ||M x||_p / ||x||_p: by gamma n1^(1/p) ninf^(1-1/p) + (3 n + 8) u value,
+    then one ulp, and never below 0.
+
+    With gamma = 2 sqrt(2) (n + 2) u, twice the sqrt(2) gamma_(n+2) of a
+    complex inner product of length n, |fl(M x) - M x| <= gamma |M| |x|
+    entrywise (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., sections 3.1 and 3.6), and |M| has the column and row sums n1, ninf
+    of M, so by Riesz-Thorin its p-norm is at most n1^(1/p) ninf^(1-1/p);
+    the second term covers the rounding of the p-norm itself and of x's
+    normalisation.
+    """
+    t = 0.0 if p.is_inf else 1.0 / p.value
+    gamma = 2.0 * math.sqrt(2.0) * (n + 2) * _U
+    slack = gamma * n1 ** t * ninf ** (1.0 - t) + (3 * n + 8) * _U * value
+    return max(0.0, math.nextafter(value - slack, -math.inf))
 
 
 def _schur_upper(M: np.ndarray, p: Exponent, xi: np.ndarray) -> float | None:

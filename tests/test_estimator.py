@@ -506,6 +506,51 @@ def test_public_ascent_keeps_the_fine_stop():
     assert ascent_lower_bound(A, 1.5).value.hex() == "0x1.c78ba06116d29p+2"
 
 
+def test_inf_endpoint_value_is_the_row_sum():
+    # the p = inf endpoint returns the attaining row's sum, as p = 1 returns
+    # the column's, so its value never lies above the computed anchor
+    for seed in range(100, 130):
+        rng = np.random.default_rng(seed)
+        for n in (4, 8, 16, 32, 48):
+            for A in (rng.standard_normal((n, n)), random_complex(rng, n, n)):
+                assert ascent_lower_bound(A, INF).value == anchor_norms(A).ninf
+
+
+def _fourth_powers(v) -> Fraction:
+    """The exact sum of |v_i|^4 over a vector of complex Fractions (re, im)."""
+    return sum((re * re + im * im) ** 2 for re, im in v)
+
+
+def test_engine_lower_end_holds_in_exact_arithmetic():
+    # with an upper end the ascent's value is rounded down, so the engine's
+    # lower end L and its maximizer x satisfy L^4 sum |x_i|^4 <= sum |(M x)_i|^4
+    # exactly: the rounding of M x and of the norms cannot lift L above the
+    # quotient that x attains
+    for i in range(200):
+        n = 3 + i % 6
+        A = np.random.default_rng(i).standard_normal((n, n))
+        U = upper_bound_from_anchors(anchor_norms(A), as_exponent(4)).value
+        L, tag, x = best_lower_bound(A, 4, _uppers=U)
+        assert tag == "boyd"
+        F = [[Fraction(float(a)) for a in row] for row in A]
+        X = [(Fraction(float(v.real)), Fraction(float(v.imag))) for v in x]
+        MX = [(sum(F[r][j] * X[j][0] for j in range(n)), sum(F[r][j] * X[j][1] for j in range(n)))
+              for r in range(n)]
+        assert Fraction(L) ** 4 * _fourth_powers(X) <= _fourth_powers(MX)
+
+
+def test_extrapolation_does_not_freeze_rows_early():
+    # the extrapolated signed ascent ends within 1e-6 of its interval's width
+    # of the plain 1e-12 ascent, which never extrapolates
+    rng = np.random.default_rng(2210)
+    ps = (1.25, 1.5, 3.0, 4.0, 8.0)
+    for i, n in enumerate((16,) * 20 + (32,) * 10):
+        A = random_complex(rng, n, n) if i % 2 == 0 else rng.standard_normal((n, n))
+        for b, fine in zip(analyze(A).bounds(ps), ascent_lower_bound(A, ps)):
+            assert b.lower_provenance == "boyd"
+            assert fine.value - b.lower <= 1e-6 * (b.upper - b.lower)
+
+
 def test_eigen_lower_bound_accepts_circulant_pair():
     c = np.array([1.0, 2.0, 1j])
     C = densify(Circulant(c))
