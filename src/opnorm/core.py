@@ -102,8 +102,7 @@ def dual_exponent(p) -> Exponent:
 
 
 def as_vector(entries) -> np.ndarray:
-    """Validate and freeze a nonempty 1-D complex128 array: a view of the
-    read-only copy, which cannot be made writeable again."""
+    """Validate and freeze a nonempty 1-D complex128 array."""
     arr = np.array(entries, dtype=np.complex128, order="C")
     if arr.ndim != 1:
         raise ValueError(f"vector must be 1-D, got shape {arr.shape}")
@@ -112,7 +111,7 @@ def as_vector(entries) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
     arr.setflags(write=False)
-    return arr.view()
+    return arr
 
 
 #: The arrays ``as_matrix`` returned, by id, for as long as they live.

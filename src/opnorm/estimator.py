@@ -282,7 +282,7 @@ def _row_pnorms(Y: np.ndarray, rs, counts) -> np.ndarray:
     return top * _group_powers(sums, np.empty_like(sums), [1.0 / v for v in rs], counts)
 
 
-def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray,
+def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray | None,
                 E: np.ndarray, fast) -> tuple[np.ndarray, np.ndarray]:
     """Phi_r(y) / max|y|^(r-1) into the rows of D for every row y of Y,
     r >= 2, and what the r-norm of y needs, from one modulus and one power.
@@ -291,21 +291,16 @@ def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray,
     m = max|y|, s = |y| / m in S and u = s^(r-2) in U, the direction is
     y u / m and the r-norm of y is m (sum u s s)^(1/r); returned are m and
     sum u s s.  Here m is clamped to the smallest normal double, which keeps
-    u / m finite: at r = 2 a zero row has u = 0^0 = 1.
+    u / m finite: at r = 2 a zero row has u = 0^0 = 1.  With D None only the
+    norm is taken.
     """
-    m, sums = _image_sums(Y, S, U, E, fast)
-    np.multiply(Y, U / m[:, None], out=D)
-    return m, sums
-
-
-def _image_sums(Y: np.ndarray, S: np.ndarray, U: np.ndarray, E, fast) -> tuple[np.ndarray, np.ndarray]:
-    """m = max|y| and sum u s s of ``_image_step`` for every row y of Y,
-    which give its r-norm m (sum u s s)^(1/r), with s and u left in S and
-    U."""
     a = np.abs(Y)
     m = np.maximum(a.max(axis=1), _NORMAL)
-    np.divide(a, m[:, None], out=S)
+    scale = m[:, None]
+    np.divide(a, scale, out=S)
     _powers(S, U, E, fast)
+    if D is not None:
+        np.multiply(Y, U / scale, out=D)
     return m, (U * S * S).sum(axis=1)
 
 
@@ -543,7 +538,8 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
      fwd, back, e_up, up, e_down, down) = layout(k)
     trial = None  # the rows whose extrapolation this step evaluates
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    # checked below; a row with a zero norm stops, so its quotients are dropped
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(_ASCENT_MAX_ITER):
             for x, w, y in fwd:
                 np.dot(x, w, out=y)
@@ -584,22 +580,32 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
                     done &= ~lead
                 np.maximum.at(best, run_of[done], obj[done])
             stop = done | (nrm == 0.0)
-            trial = start = None
-            phase = (step - _EXTRAPOLATE_FROM) % _EXTRAPOLATE_EVERY if gapped else -1
-            if phase == _EXTRAPOLATE_EVERY - 1:
-                # the gain that the next step's test reads, nan where U is
-                # None; a row that goes on has gained, so it is positive
-                np.multiply(gain, rows[6], out=rows[7])
-            elif phase == 0 and step >= _EXTRAPOLATE_FROM:
-                # the gains of the last two steps, neither of which evaluated
-                # an extrapolation, fall by a ratio rho^2 near a maximum;
-                # rows without U read a nan ratio, so they never jump
-                ratio = gain / rows[7]
-                jump = (ratio > lo_ratio) & (ratio < hi_ratio)
-                if np.count_nonzero(jump):
-                    rho = np.sqrt(np.where(jump, ratio, 0.0))
-                    factor = np.minimum(rho / (1.0 - rho), _EXTRAPOLATE_MAX)
-                    start = Xl  # x_k
+            trial = None
+            if gapped and step >= _EXTRAPOLATE_FROM - 1:
+                phase = (step - _EXTRAPOLATE_FROM) % _EXTRAPOLATE_EVERY
+                if phase == _EXTRAPOLATE_EVERY - 1:
+                    # the gain that the next step's test reads, nan where U is
+                    # None; a row that goes on has gained, so it is positive
+                    np.multiply(gain, rows[6], out=rows[7])
+                elif phase == 0:
+                    # the gains of the last two steps, neither of which
+                    # evaluated an extrapolation, fall by a ratio rho^2 near a
+                    # maximum; rows without U read a nan ratio, so they never
+                    # jump
+                    ratio = gain / rows[7]
+                    jump = (ratio > lo_ratio) & (ratio < hi_ratio)
+                    if np.count_nonzero(jump):
+                        # x_e = x_{k+1} + factor (x_{k+1} - x_k) at r-norm 1,
+                        # by the image step's own powers, in place of x_{k+1},
+                        # which is kept; the next step evaluates it
+                        left = Xn / nrm[:, None]
+                        Xe = left - Xl
+                        rho = np.sqrt(np.where(jump, ratio, 0.0))
+                        Xe *= np.minimum(rho / (1.0 - rho), _EXTRAPOLATE_MAX)[:, None]
+                        Xe += left
+                        top, sums = _image_step(Xe, S, U, None, e_up, up)
+                        np.divide(Xe, (top * sums ** root_obj)[:, None], out=Xe)
+                        trial, nxt = jump, np.where(jump[:, None], Xe, left)
             if np.count_nonzero(stop):  # the cheapest test of a small mask
                 iters[live[stop]] = step + 1
                 converged[live[done]] = True
@@ -612,25 +618,15 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
                 if not live.size:
                     break
                 rows = rows[:, keep]
-                if start is not None:
-                    factor, start = factor[keep], Xl[keep]
+                if trial is not None:
+                    trial, left, nxt = trial[keep], left[keep], nxt[keep]
                 (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
                  fwd, back, e_up, up, e_down, down) = layout(live.size)
             prev = obj
-            if start is None:
+            if trial is None:
                 np.divide(Xn, nrm[:, None], out=Xl)
             else:
-                # x_e = x_{k+1} + factor (x_{k+1} - x_k), normalised to r-norm 1
-                # by the image step's own powers, in place of x_{k+1}, which is
-                # kept; the next step evaluates it.  factor is 0 off the jump
-                left = Xn / nrm[:, None]
-                Xe = left - start
-                Xe *= factor[:, None]
-                Xe += left
-                top, sums = _image_sums(Xe, S, U, e_up, up)
-                trial = factor > 0.0
-                np.copyto(Xl, left)
-                np.divide(Xe, (top * sums ** root_obj)[:, None], out=Xl, where=trial[:, None])
+                np.copyto(Xl, nxt)
         else:
             X[live] = Xl  # these rows moved on after their last objective
         # each start's objective at its final iterate, from one product per
@@ -674,7 +670,7 @@ def _endpoint_ascent(M: np.ndarray, p: Exponent) -> tuple:
 
 
 def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
-                       _floors=None):
+                       _floors=None, _anchors: AnchorNorms | None = None):
     """Iterative ascent lower bound for the operator p-norm, at one exponent
     or at each of a sequence of them.
 
@@ -704,11 +700,13 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
     of such an exponent also extrapolates along its last step where its
     gains fall at a steady ratio (``_block_ascent``), and the value returned
     is rounded down by gamma n1^(1/p) ninf^(1-1/p) + (3 n + 8) u value and
-    one ulp, gamma = 2 sqrt(2) (n + 2) u, with n1 and ninf from one pass
-    over |A| (``_rounded_down``): without it the faster climb lands a few
-    ulps above the exact quotient of its maximizer, and above a circulant's
-    eigen certificate where that is the norm.  None everywhere, the
-    default, is the 1e-12 test alone, bit for bit.
+    one ulp, gamma = 2 sqrt(2) (n + 2) u, with n1 and ninf the anchors of A
+    (``_rounded_down``): without it the faster climb lands a few ulps above
+    the exact quotient of its maximizer, and above a circulant's eigen
+    certificate where that is the norm.  None everywhere, the default, is
+    the 1e-12 test alone, bit for bit.  ``_anchors``, for the engine only,
+    passes the anchors of A that it already holds; None takes n1 and ninf
+    from one pass over |A| where an end is given.
 
     ``_floors``, in the same form, gives a floor 0 <= L <= U per exponent: a
     lower end that the engine already holds without an ascent, such as a
@@ -745,7 +743,8 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
         runs = [(W, r, next(starts[id(W)]), None if u is None else math.ldexp(u, k),
                  0.0 if u is None else math.ldexp(f, k)) for W, r, u, f in plan]
         found = iter(zip(runs, _block_ascent(runs)))
-    results, lines = [], None
+    results = []
+    lines = None if _anchors is None else (_anchors.n1, _anchors.ninf)
     for e, u in zip(ps, ends):
         if e.value == 1.0 or e.is_inf:
             value, *rest = _endpoint_ascent(M, e)
@@ -801,7 +800,8 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
     gap-scaled gain test; None, the default, keeps the 1e-12 test alone.
     ``_floors``, in the same form, passes each exponent's floor, a lower end
     the caller holds without an ascent and at most its upper end, below
-    which starts trail.
+    which starts trail.  ``anchors`` also gives the n1 and ninf with which
+    the ascent rounds its values down where an end is given.
     """
     M = as_matrix(A)
     ps, one = _exponent_args(p)
@@ -815,10 +815,11 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
     # call, so a wrapper installed there sees every ascent
     if len(climb) > 1:
         es, us, fs = zip(*climb)
-        ascents = iter(ascent_lower_bound(M, es, seed=seed, _uppers=us, _floors=fs))
+        ascents = iter(ascent_lower_bound(M, es, seed=seed, _uppers=us, _floors=fs,
+                                          _anchors=anchors))
     else:
-        ascents = iter([ascent_lower_bound(M, e, seed=seed, _uppers=u, _floors=f)
-                        for e, u, f in climb])
+        ascents = iter([ascent_lower_bound(M, e, seed=seed, _uppers=u, _floors=f,
+                                           _anchors=anchors) for e, u, f in climb])
     out = []
     for e in ps:
         if e.value in pinned:

@@ -416,20 +416,16 @@ def classify_circulant_la(c: Circulant) -> LAWitness:
     return LAWitness(False)
 
 
-@lru_cache(maxsize=16)  # bounded: one flip per size, its phases read-only
-def _row_flip(n: int) -> UnitaryPermutation:
-    """The phase-free row flip i -> -i mod n."""
-    return UnitaryPermutation(tuple((n - i) % n for i in range(n)), np.ones(n))
-
-
 def hankel_factor(h: HankelMod) -> tuple[UnitaryPermutation, Circulant]:
     """Exact factorization H = P * C with P the phase-free row flip i -> -i mod n.
 
     C has the layout's coefficients, the first row of H, as its first row:
-    ``analyze`` builds C from that row directly, without P.  P is built once
-    per n and shared.
+    ``analyze`` builds C from that row directly, without P.
     """
-    return _row_flip(h.n), Circulant(h.coeffs)
+    n = h.n
+    sigma = tuple((n - i) % n for i in range(n))
+    perm = UnitaryPermutation(sigma, np.ones(n))
+    return perm, Circulant(h.coeffs)
 
 
 # ---------------------------------------------------------------------------

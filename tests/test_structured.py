@@ -184,14 +184,6 @@ def test_hankel_factorization_exact():
     assert np.array_equal(densify(perm).real, np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
 
 
-def test_hankel_row_flip_is_built_once_per_size_and_stays_read_only():
-    perm, _ = hankel_factor(HankelMod([1.0, 2.0, 3.0]))
-    again, _ = hankel_factor(HankelMod([4.0, 5.0, 6j]))
-    assert again is perm
-    with pytest.raises(ValueError):
-        perm.phases.setflags(write=True)
-
-
 def test_direct_sum_and_split_round_trip():
     rng = np.random.default_rng(41)
     parts = [random_complex(rng, 2, 2), random_complex(rng, 3, 3)]
