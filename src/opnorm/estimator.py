@@ -152,10 +152,12 @@ class AscentResult:
     ``converged`` whether it stopped on the gain test rather than at the
     step cap or on a zero direction; both are 0 and True at p in {1, inf}.
     With an upper end given (``Analysis.bounds`` on signed and complex
-    input), starts that trail may stop on the gap-scaled gain test, but the
-    winning start has stopped on the 1e-12 test, up to rounding, so
-    ``converged`` means the same there.  With a floor above every start too
-    (``ascent_lower_bound``), the winner may have stopped on the gap test.
+    input), starts that trail may stop on the gap-scaled gain test, or on
+    the test against their exponent's converged best, but the winning start
+    has stopped on the 1e-12 test, up to rounding, so ``converged`` means
+    the same there.  With a floor above every start too
+    (``ascent_lower_bound``), the winner may have stopped on either of the
+    other tests.
     With an upper end, ``iterations`` also counts the steps that evaluated
     an extrapolation, and ``value`` is rounded down by an a-priori bound on
     the rounding of A maximizer and of the norms, so that it lies at or
@@ -337,6 +339,12 @@ _ASCENT_GAIN_TOL = 1e-12
 #: _ASCENT_GAP_TOL (U - obj) / U, this fraction of the relative gap that its
 #: lower end still has to close.
 _ASCENT_GAP_TOL = 2e-6
+#: Once the best start of a run with an upper end has stopped on the fine
+#: test at its run's peak v (or where the run has a floor L > 0, v = L), a
+#: row of that run also counts as converged once its relative gain is below
+#: _BEST_GAP_TOL (v - obj) / v, this fraction of the relative gap that it
+#: still has to close to v.
+_BEST_GAP_TOL = 3e-3
 #: A row with an upper end extrapolates at every _EXTRAPOLATE_EVERY-th step
 #: from step _EXTRAPOLATE_FROM on, where the ratio rho^2 of its last two
 #: objective gains lies strictly between the two ratios below, by the factor
@@ -433,11 +441,18 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     lower end against the gap left to U, unless neither the floor nor any
     row of its run is above it: that row climbs on, on the 1e-12 test for
     good, since an ascent can linger at a small gain near a saddle for
-    hundreds of steps and then climb again.  So a start that climbs past
-    the floor and wins has stopped on the 1e-12 test, and starts that trail
-    it or the floor stop early.  The rows go on up to 500 steps, and a run
-    whose rows have all frozen costs nothing.  An overflow in either product
-    makes a row norm nonfinite, which raises ValueError.
+    hundreds of steps and then climb again.  Once a row of a run with U
+    stops on the 1e-12 test at its run's peak with value v, the run's
+    converged best, or from step 0 where the run has a floor L > 0, with
+    v = L, every other row of that run also freezes once its relative gain
+    is no more than 3e-3 (v - obj) / v, a gain too small to reach v soon; a
+    row that climbs past v leads on the 1e-12 test as before, and a later
+    converged best at the peak raises v.  The block reads this test only
+    from the step where some run first has a v.  So a start that climbs
+    past the floor and wins has stopped on the 1e-12 test, and starts that
+    trail it or the floor stop early.  The rows go on up to 500 steps, and
+    a run whose rows have all frozen costs nothing.  An overflow in either
+    product makes a row norm nonfinite, which raises ValueError.
 
     A row with U also extrapolates, since near a maximum the iterates
     converge linearly and the objective gains fall by a nearly constant
@@ -472,14 +487,22 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     k, n = sum(total), runs[0][0].shape[0]
     ups, downs = [r - 2.0 for r in rs], [q - 1.0 for q in qs]
     gapped = any(U is not None for U in ends)
+    # per run with U, the value v of its converged best start, or its floor
+    # L > 0; zero where it has none yet or U is None
+    v_run = [0.0 if U is None else L for *_, U, L in runs]
+    any_v = any(v_run)  # the test against v is read from the first v on
     # per live row: the powers that take a row sum to the objective and to
     # the r-norm of the next direction, tau and tau / U of the gap test
-    # (zero where U is None), its exponents r - 2 and q - 1, 1 where it may
-    # extrapolate (U is given) and nan elsewhere, and that times its
-    # objective gain at the step before each step that may extrapolate
+    # (zero where U is None), c and c / v of the test against the run's
+    # converged best (zero where it has no v), its exponents r - 2 and q - 1,
+    # 1 where it may extrapolate (U is given) and nan elsewhere, and that
+    # times its objective gain at the step before each step that may
+    # extrapolate
     rows = np.array([[1.0 / r for r in rs], [(q - 1.0) / q for q in qs],
                      [0.0 if U is None else _ASCENT_GAP_TOL for U in ends],
-                     [0.0 if U is None else _ASCENT_GAP_TOL / U for U in ends], ups, downs,
+                     [0.0 if U is None else _ASCENT_GAP_TOL / U for U in ends],
+                     [_BEST_GAP_TOL if v > 0.0 else 0.0 for v in v_run],
+                     [_BEST_GAP_TOL / v if v > 0.0 else 0.0 for v in v_run], ups, downs,
                      [math.nan if U is None else 1.0 for U in ends], [math.nan] * len(runs)])
     rows = rows.repeat(counts, axis=1)
     lo_ratio, hi_ratio = _EXTRAPOLATE_RATIOS
@@ -516,13 +539,13 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
         Xl, Y, D, Z = cbuf[:, :m]
         S, U, *E = fbuf[:, :m]
         powers = []
-        for (e, stretches), Es, es in zip(sides, E, rows[4:]):
+        for (e, stretches), Es, es in zip(sides, E, rows[6:]):
             if stretches is None:
                 powers += [e, []]
             else:
                 Es[...] = es[:, None]
                 powers += [Es, _fast_rows(stretches, offsets, S, U)]
-        return (Xl, Y, D, Z, S, U, *rows[:4], products(counts, offsets, Xl, Y, 0),
+        return (Xl, Y, D, Z, S, U, *rows[:6], products(counts, offsets, Xl, Y, 0),
                 products(counts, offsets, D, Z, 1), *powers)
 
     X = np.empty((k, n), dtype=np.complex128)  # each row's final iterate
@@ -535,7 +558,7 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
     # per run, the floor, or the largest objective of a row frozen by a gain
     # test if that is larger
     best = np.array([L for *_, L in runs])
-    (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
+    (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u, c, c_v,
      fwd, back, e_up, up, e_down, down) = layout(k)
     trial = None  # the rows whose extrapolation this step evaluates
     # checked below; a row with a zero norm stops, so its quotients are dropped
@@ -565,6 +588,10 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
             # tau - obj tau / U is tau (U - obj) / U, and 0 where U is None or
             # the row has led
             tol = np.maximum(_ASCENT_GAIN_TOL, tau - obj * tau_u) if gapped else _ASCENT_GAIN_TOL
+            if any_v:
+                # c - obj c / v is c (v - obj) / v, and at most 0 where the
+                # run has no v or the row has climbed to it
+                np.maximum(tol, c - obj * c_v, out=tol)
             done = gain <= tol * prev
             if trial is not None:
                 done &= ~trial  # no row stops on the step that evaluates its jump
@@ -574,11 +601,25 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
                 # fine test for good
                 peak = best.copy()
                 np.maximum.at(peak, run_of, obj)
-                lead = done & (gain > _ASCENT_GAIN_TOL * prev) & (obj >= peak[run_of])
+                high = done & (obj >= peak[run_of])
+                lead = high & (gain > _ASCENT_GAIN_TOL * prev)
                 if np.count_nonzero(lead):
                     rows[2:4, lead] = 0.0
                     done &= ~lead
+                    high ^= lead
                 np.maximum.at(best, run_of[done], obj[done])
+                # a row left in high stopped on the fine test at its run's
+                # peak, so it is the run's converged best: where the run has
+                # U, its other rows weigh their gains against its value v
+                # from the next step on
+                if np.count_nonzero(high):
+                    for i, value in zip(run_of[high].tolist(), obj[high].tolist()):
+                        if ends[i] is not None and value > v_run[i]:
+                            v_run[i] = value
+                    v = np.array(v_run)[run_of]
+                    rows[4] = np.where(v > 0.0, _BEST_GAP_TOL, 0.0)
+                    rows[5] = np.where(v > 0.0, _BEST_GAP_TOL / v, 0.0)
+                    any_v = any(v_run)
             stop = done | (nrm == 0.0)
             trial = None
             if gapped and step >= _EXTRAPOLATE_FROM - 1:
@@ -586,13 +627,13 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
                 if phase == _EXTRAPOLATE_EVERY - 1:
                     # the gain that the next step's test reads, nan where U is
                     # None; a row that goes on has gained, so it is positive
-                    np.multiply(gain, rows[6], out=rows[7])
+                    np.multiply(gain, rows[8], out=rows[9])
                 elif phase == 0:
                     # the gains of the last two steps, neither of which
                     # evaluated an extrapolation, fall by a ratio rho^2 near a
                     # maximum; rows without U read a nan ratio, so they never
                     # jump
-                    ratio = gain / rows[7]
+                    ratio = gain / rows[9]
                     jump = (ratio > lo_ratio) & (ratio < hi_ratio)
                     if np.count_nonzero(jump):
                         # x_e = x_{k+1} + factor (x_{k+1} - x_k) at r-norm 1,
@@ -620,7 +661,7 @@ def _block_ascent(runs) -> list[tuple[np.ndarray, int, bool]]:
                 rows = rows[:, keep]
                 if trial is not None:
                     trial, left, nxt = trial[keep], left[keep], nxt[keep]
-                (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u,
+                (Xl, Y, D, Z, S, U, root_obj, root_nrm, tau, tau_u, c, c_v,
                  fwd, back, e_up, up, e_down, down) = layout(live.size)
             prev = obj
             if trial is None:
@@ -696,14 +737,18 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
     None for no end).  A start of an exponent with an end that trails the
     exponent's best then also stops once its relative gain is below
     2e-6 (U - obj) / U, a gain too small to move the lower end against the
-    gap left to U; the best start climbs on to the 1e-12 test.  Every start
-    of such an exponent also extrapolates along its last step where its
-    gains fall at a steady ratio (``_block_ascent``), and the value returned
-    is rounded down by gamma n1^(1/p) ninf^(1-1/p) + (3 n + 8) u value and
-    one ulp, gamma = 2 sqrt(2) (n + 2) u, with n1 and ninf the anchors of A
-    (``_rounded_down``): without it the faster climb lands a few ulps above
-    the exact quotient of its maximizer, and above a circulant's eigen
-    certificate where that is the norm.  None everywhere, the default, is
+    gap left to U; the best start climbs on to the 1e-12 test.  Once it has
+    stopped there with value v, the exponent's other starts also stop once
+    their relative gain is below 3e-3 (v - obj) / v, the gap left to the
+    value the exponent has converged to; a start that would escape a saddle
+    and overtake only later is lost then, which can lower the value.  Every
+    start of such an exponent also extrapolates along its last step where
+    its gains fall at a steady ratio (``_block_ascent``), and the value
+    returned is rounded down by gamma n1^(1/p) ninf^(1-1/p) + (3 n + 8) u
+    value and one ulp, gamma = 2 sqrt(2) (n + 2) u, with n1 and ninf the
+    anchors of A (``_rounded_down``): without it the faster climb lands a
+    few ulps above the exact quotient of its maximizer, and above a
+    circulant's eigen certificate where that is the norm.  None everywhere, the default, is
     the 1e-12 test alone, bit for bit.  ``_anchors``, for the engine only,
     passes the anchors of A that it already holds; None takes n1 and ninf
     from one pass over |A| where an end is given.
@@ -711,10 +756,10 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
     ``_floors``, in the same form, gives a floor 0 <= L <= U per exponent: a
     lower end that the engine already holds without an ascent, such as a
     circulant's eigen certificate or a direct sum's exactly pinned block.
-    With an end U, the exponent's best starts at L, so starts below L trail
-    it and stop on the gap test, and a start that climbs past L leads as
-    before.  0, the default, is no floor.  The engine runs no ascent where
-    L > U (``Analysis``).
+    With an end U, the exponent's best starts at L, which is also its v
+    from the first step, so starts below L trail it and stop on either
+    test, and a start that climbs past L leads as before.  0, the default,
+    is no floor.  The engine runs no ascent where L > U (``Analysis``).
     """
     M = as_square(A)
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:

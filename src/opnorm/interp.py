@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -191,6 +192,7 @@ def is_log_affine(A) -> LogAffineReport:
     return la_report_from_anchors(anchor_norms(A))
 
 
+@lru_cache(maxsize=1)  # its Exponents are frozen, and the tuple too
 def default_grid() -> tuple[Exponent, ...]:
     """Sorted default exponent grid, closed under duality and anchored.
 

@@ -9,6 +9,7 @@ real like ``-1.5``, or ``a+bi`` / ``a-bi`` with a lowercase ``i``.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -70,16 +71,27 @@ def _read_json(text: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MatrixParseError(
             f"expected {rows}x{cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
-    flat = np.empty(rows * cols, dtype=np.complex128)
+    # every entry must be a list of two JSON numbers (a bool is a Python int,
+    # but no number here): their types are checked in one pass per level, and
+    # the doubles read in one more; only on a fault are the entries scanned
+    # one by one, to name the first bad one
+    if (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
+            and set(map(type, chain.from_iterable(entries))) <= {int, float}):
+        try:
+            flat = np.fromiter(chain.from_iterable(entries), np.float64, 2 * len(entries))
+        except OverflowError:  # an integer past the float range
+            pass
+        else:
+            return _validated(flat.view(np.complex128).reshape(rows, cols))
     for k, e in enumerate(entries):
         if (not isinstance(e, list) or len(e) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)):
             raise MatrixParseError(f"entry {k} must be a [re, im] number pair")
         try:
-            flat[k] = complex(e[0], e[1])
-        except OverflowError as exc:  # an integer past the float range
+            complex(e[0], e[1])
+        except OverflowError as exc:
             raise MatrixParseError(f"entry {k} is out of range") from exc
-    return _validated(flat.reshape(rows, cols))
+    raise AssertionError("unreachable: some entry failed to read")
 
 
 def _read_csv(text: str) -> np.ndarray:

@@ -103,6 +103,7 @@ def test_default_grid_shape():
     for e in grid:
         q = dual_exponent(e).value
         assert any(math.isclose(q, v, rel_tol=1e-12) for v in vals), q
+    assert default_grid() is grid  # built once: a tuple of frozen exponents
 
 
 def test_norm_bound_validation():

@@ -82,6 +82,32 @@ def test_json_entry_past_the_float_range(tmp_path):
         read_matrix(p)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ("[[true, 0]]", "entry 0 must be a"),
+    ("[[1, 0], [2, false]]", "entry 1 must be a"),
+    ('[[1, 0], [2, 0], [1%s, 0], [true, 0]]' % ("0" * 400), "entry 2 is out of range"),
+    ('[[1, 0], [2, 0], [3, 0], [1%s, 0]]' % ("0" * 400), "entry 3 is out of range"),
+])
+def test_json_names_its_first_bad_entry(tmp_path, entries, message):
+    # a bool is a Python int but no JSON number; the first bad entry in
+    # order is named, whichever kind of fault it has
+    p = tmp_path / "m.json"
+    n = entries.count("[") - 1
+    p.write_text('{"rows": 1, "cols": %d, "entries": %s}' % (n, entries))
+    with pytest.raises(MatrixParseError, match=message):
+        read_matrix(p)
+
+
+def test_json_keeps_signed_zeros_and_integers_exactly(tmp_path):
+    p = tmp_path / "m.json"
+    big = 2 ** 80 + 1  # rounds to a double as float() rounds it
+    p.write_text('{"rows": 2, "cols": 2, "entries": [[-0.0, -0.0], [0.0, -0.0], '
+                 '[%d, 3], [-1, 0.1]]}' % big)
+    got = read_matrix(p).ravel()
+    want = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(big, 3), complex(-1, 0.1)])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_csv_comments_blank_lines_and_errors(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("# comment\n1,2\n\n3,4i\n")
