@@ -71,7 +71,10 @@ that the caller holds tops both of its ends, so it runs no ascent and
 proposes the ones vector's attained value in its place.  One combine step
 in ``Analysis.bounds`` then picks the largest lower and the smallest upper
 candidate, checks them against each other and tags the interval, with one
-ascent for all exponents.  ``certified_bound`` is one such query.
+ascent for all exponents.  ``certified_bound`` is one such query.  The
+engine calls ``ascent_lower_bound`` itself, once per matrix and query, and
+takes the values at p = 1, 2, inf from its own anchors; ``best_lower_bound``
+pairs the two for a caller outside the engine.
 """
 
 from __future__ import annotations
@@ -90,18 +93,12 @@ from .core import (
     _unit_scale,
     adjoint,
     as_exponent,
-    as_matrix,
     as_square,
     as_vector,
     dual_exponent,
     vec_norm,
 )
-from .exact import (
-    AnchorNorms,
-    anchor_norms,
-    norm_inf_attained,
-    norm_one_attained,
-)
+from .exact import AnchorNorms, anchor_norms
 from .interp import (
     NormBound,
     _is_self_adjoint,
@@ -160,9 +157,10 @@ class AscentResult:
     other tests.
     With an upper end, ``iterations`` also counts the steps that evaluated
     an extrapolation, and ``value`` is rounded down by an a-priori bound on
-    the rounding of A maximizer and of the norms, so that it lies at or
-    below ||A maximizer||_p / ||maximizer||_p in exact arithmetic; without
-    one it is the computed quotient, which can lie a few ulps above it.
+    the rounding of A maximizer and of the norms, read off the column and
+    row sums of |A|, so that it lies at or below
+    ||A maximizer||_p / ||maximizer||_p in exact arithmetic; without one it
+    is the computed quotient, which can lie a few ulps above it.
     """
 
     value: float
@@ -378,9 +376,10 @@ def _orthant_starts(n: int) -> np.ndarray:
     return block
 
 
-def _ascent_starts(M: np.ndarray, rs, restarts: int, seed: int) -> list[np.ndarray]:
-    """Start vectors on the working matrix M at each exponent of ``rs``, as
-    the rows of one k x n block per exponent.
+def _ascent_starts(M: np.ndarray, a: np.ndarray, rs, restarts: int,
+                   seed: int) -> list[np.ndarray]:
+    """Start vectors on the working matrix M, whose modulus is a, at each
+    exponent of ``rs``, as the rows of one k x n block per exponent.
 
     Deterministic: the ones vector, the unit vector of the largest-r-norm
     column, and — for real matrices of size <= 4 — one seed per sign orthant,
@@ -395,7 +394,6 @@ def _ascent_starts(M: np.ndarray, rs, restarts: int, seed: int) -> list[np.ndarr
         return [np.ones((1, n), dtype=np.complex128) for _ in rs]
     vs = sorted({r.value for r in rs})
     ones = [1] * len(vs)
-    a = np.abs(M)
     top = a.max(axis=0)
     s = a / np.maximum(top, _TINY)
     s = np.broadcast_to(s, (len(vs), n, n)) if len(vs) > 1 else s[None]
@@ -691,27 +689,28 @@ def _exponent_args(p) -> tuple[tuple[Exponent, ...], bool]:
     return (as_exponent(p),), True
 
 
-def _endpoint_ascent(M: np.ndarray, p: Exponent) -> tuple:
+def _endpoint_ascent(M: np.ndarray, a: np.ndarray, p: Exponent) -> tuple:
     """(value, maximizer, 0, True) of the exact attaining coordinate formulas
-    at p in {1, inf}."""
+    at p in {1, inf}, read off the modulus a of M: the first largest column
+    sum at p = 1 and row sum at p = inf, as ``norm_one_attained`` and
+    ``norm_inf_attained`` give them."""
     n = M.shape[0]
+    sums = a.sum(axis=0 if p.value == 1.0 else 1)
+    i = int(np.argmax(sums))
+    value = float(sums[i])
     if p.value == 1.0:
-        value, j = norm_one_attained(M)
         x = np.zeros(n, dtype=np.complex128)
-        x[j] = 1.0
+        x[i] = 1.0
         return value, x, 0, True
-    value, i = norm_inf_attained(M)
-    row = np.conj(M[i])
-    mod = np.abs(row)
-    x = np.divide(row, mod, out=np.zeros(n, dtype=np.complex128), where=mod > 0.0)
+    mod = a[i]
+    x = np.divide(np.conj(M[i]), mod, out=np.zeros(n, dtype=np.complex128), where=mod > 0.0)
     if not np.any(x):
         x = np.zeros(n, dtype=np.complex128)
         x[0] = 1.0
     return value, x, 0, True
 
 
-def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
-                       _floors=None, _anchors: AnchorNorms | None = None):
+def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None, _floors=None):
     """Iterative ascent lower bound for the operator p-norm, at one exponent
     or at each of a sequence of them.
 
@@ -730,11 +729,13 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
     with the largest objective wins.  Every start runs to its own stop.  An
     exponent's result has the same bits whichever exponents share the call.
     At p in {1, inf} the exact attaining coordinate formulas are used
-    directly.
+    directly.  A call takes the modulus |A| once, and reads off it the
+    power-of-two scale, the start columns of both working matrices, the
+    sums of the exact formulas and the n1 and ninf of the rounding below.
 
-    ``_uppers``, for the engine only, gives an upper end U on ||A||_p per
-    exponent (one value for one exponent, a sequence in step with ``p``,
-    None for no end).  A start of an exponent with an end that trails the
+    ``_uppers``, for the engine only, is a sequence in step with the
+    exponents (one entry for a lone exponent) of upper ends U on ||A||_p,
+    None for no end.  A start of an exponent with an end that trails the
     exponent's best then also stops once its relative gain is below
     2e-6 (U - obj) / U, a gain too small to move the lower end against the
     gap left to U; the best start climbs on to the 1e-12 test.  Once it has
@@ -746,18 +747,16 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
     its gains fall at a steady ratio (``_block_ascent``), and the value
     returned is rounded down by gamma n1^(1/p) ninf^(1-1/p) + (3 n + 8) u
     value and one ulp, gamma = 2 sqrt(2) (n + 2) u, with n1 and ninf the
-    anchors of A (``_rounded_down``): without it the faster climb lands a
-    few ulps above the exact quotient of its maximizer, and above a
-    circulant's eigen certificate where that is the norm.  None everywhere, the default, is
-    the 1e-12 test alone, bit for bit.  ``_anchors``, for the engine only,
-    passes the anchors of A that it already holds; None takes n1 and ninf
-    from one pass over |A| where an end is given.
+    largest column and row sums of |A| (``_rounded_down``): without it the
+    faster climb lands a few ulps above the exact quotient of its maximizer,
+    and above a circulant's eigen certificate where that is the norm.  None
+    everywhere, the default, is the 1e-12 test alone, bit for bit.
 
-    ``_floors``, in the same form, gives a floor 0 <= L <= U per exponent: a
-    lower end that the engine already holds without an ascent, such as a
-    circulant's eigen certificate or a direct sum's exactly pinned block.
-    With an end U, the exponent's best starts at L, which is also its v
-    from the first step, so starts below L trail it and stop on either
+    ``_floors``, a sequence in the same step, gives a floor 0 <= L <= U per
+    exponent: a lower end that the engine already holds without an ascent,
+    such as a circulant's eigen certificate or a direct sum's exactly pinned
+    block.  With an end U, the exponent's best starts at L, which is also
+    its v from the first step, so starts below L trail it and stop on either
     test, and a start that climbs past L leads as before.  0, the default,
     is no floor.  The engine runs no ascent where L > U (``Analysis``).
     """
@@ -766,38 +765,39 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None,
         raise ValueError("restarts must be a positive integer")
     seed = _check_seed(seed)
     ps, one = _exponent_args(p)
-    ends = (None,) * len(ps) if _uppers is None else (_uppers,) if one else tuple(_uppers)
-    floors = (0.0,) * len(ps) if _floors is None else (_floors,) if one else tuple(_floors)
+    ends = (None,) * len(ps) if _uppers is None else tuple(_uppers)
+    floors = (0.0,) * len(ps) if _floors is None else tuple(_floors)
     climb = [(e, u if u is not None and u > 0.0 else None, f)
              for e, u, f in zip(ps, ends, floors) if e.value != 1.0 and not e.is_inf]
+    a = np.abs(M)
     if climb:
         # the ascent runs on 2^k M, whose largest modulus lies in [1, 2): no
         # step then divides by a subnormal row maximum, and on a matrix whose
         # iterates stay in the normal range every step is the same bits at
         # any power-of-two scale.  For 1 < p < 2 it runs on (2^k M*, q),
         # whose norm is the same, so an end U on ||M||_p scales to 2^k U, and
-        # a floor L <= U to 2^k L.
-        unit, k = _unit_scale(M)
+        # a floor L <= U to 2^k L.  |M*| is the transpose of |M|
+        top = float(a.max())
+        (unit, k), mod = _unit_scale(M, top), _unit_scale(a, top)[0]
         work = {dual: adjoint(unit) if dual else unit
                 for dual in {e.value < 2.0 for e, _, _ in climb}}
         plan = [(work[e.value < 2.0], dual_exponent(e) if e.value < 2.0 else e, u, f)
                 for e, u, f in climb]
-        starts = {id(W): iter(_ascent_starts(W, [r for V, r, _, _ in plan if V is W],
+        starts = {id(W): iter(_ascent_starts(W, mod.T if dual else mod,
+                                             [r for V, r, _, _ in plan if V is W],
                                              int(restarts), seed))
-                  for W in work.values()}
+                  for dual, W in work.items()}
         runs = [(W, r, next(starts[id(W)]), None if u is None else math.ldexp(u, k),
                  0.0 if u is None else math.ldexp(f, k)) for W, r, u, f in plan]
         found = iter(zip(runs, _block_ascent(runs)))
-    results = []
-    lines = None if _anchors is None else (_anchors.n1, _anchors.ninf)
+    results, lines = [], None
     for e, u in zip(ps, ends):
         if e.value == 1.0 or e.is_inf:
-            value, *rest = _endpoint_ascent(M, e)
+            value, *rest = _endpoint_ascent(M, a, e)
         else:
             value, *rest = _climbed(M, e, *next(found))
         if u is not None:
             if lines is None:
-                a = np.abs(M)
                 lines = float(a.sum(axis=0).max()), float(a.sum(axis=1).max())
             value = _rounded_down(value, e, M.shape[0], *lines)
         results.append(AscentResult(value, *rest))
@@ -828,8 +828,7 @@ def _climbed(M: np.ndarray, e: Exponent, run, winner) -> tuple:
     return value, xi, iterations, converged
 
 
-def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
-                     _uppers=None, _floors=None):
+def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None):
     """Attained lower bound with its provenance tag, and the ascent's
     maximizer (None when no ascent ran), as a (value, tag, maximizer) triple
     at one exponent, or a tuple of them, in order, at a sequence of
@@ -837,34 +836,16 @@ def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None, *,
 
     At p in {1, 2, inf} with ``anchors`` given, the anchor is the norm itself
     (attained), so it is returned as "anchor" with no ascent.  Every other
-    exponent takes the ascent's value as "boyd"; the ascent runs once for all
-    of them.  Other lower candidates, such as a circulant's eigen
-    certificate, are the caller's to weigh (``Analysis.bounds``).
-    ``_uppers``, in the form of ``p``, passes each exponent's upper end to
-    ``ascent_lower_bound``, whose trailing starts then also stop on the
-    gap-scaled gain test; None, the default, keeps the 1e-12 test alone.
-    ``_floors``, in the same form, passes each exponent's floor, a lower end
-    the caller holds without an ascent and at most its upper end, below
-    which starts trail.  ``anchors`` also gives the n1 and ninf with which
-    the ascent rounds its values down where an end is given.
+    exponent takes the public ascent's value as "boyd"; the ascent runs once
+    for all of them.  Other lower candidates, such as a circulant's eigen
+    certificate, are the caller's to weigh.  The engine does not call this
+    function: ``Analysis`` weighs its anchors and the ascent itself.
     """
-    M = as_matrix(A)
+    M = as_square(A)
     ps, one = _exponent_args(p)
     seed = _check_seed(seed)
     pinned = {} if anchors is None else {1.0: anchors.n1, 2.0: anchors.n2, math.inf: anchors.ninf}
-    ends = (None,) * len(ps) if _uppers is None else (_uppers,) if one else tuple(_uppers)
-    floors = (0.0,) * len(ps) if _floors is None else (_floors,) if one else tuple(_floors)
-    climb = [(e, u, f) for e, u, f in zip(ps, ends, floors) if e.value not in pinned]
-    # a lone exponent takes the one-exponent form, whose result describes
-    # the whole call; the ascent is looked up by its module name on every
-    # call, so a wrapper installed there sees every ascent
-    if len(climb) > 1:
-        es, us, fs = zip(*climb)
-        ascents = iter(ascent_lower_bound(M, es, seed=seed, _uppers=us, _floors=fs,
-                                          _anchors=anchors))
-    else:
-        ascents = iter([ascent_lower_bound(M, e, seed=seed, _uppers=u, _floors=f,
-                                           _anchors=anchors) for e, u, f in climb])
+    ascents = iter(ascent_lower_bound(M, [e for e in ps if e.value not in pinned], seed=seed))
     out = []
     for e in ps:
         if e.value in pinned:
@@ -1098,7 +1079,11 @@ class Analysis:
     holds the floor has a lower end above both of this matrix's ends, so
     neither can win the caller's combine step, and the exponent runs no
     ascent; it proposes the eigen certificate, if any, then the ones
-    vector's attained value, and the segment.
+    vector's attained value, and the segment.  The other exponents off the
+    anchors take one call of ``ascent_lower_bound`` (a lone one as a bare
+    exponent, so that its result describes the call), with their upper ends
+    and floors on signed and complex input only; at p = 1, 2, inf the lower
+    end is ``own_anchors``' value.
     """
 
     matrix: np.ndarray
@@ -1224,15 +1209,25 @@ class Analysis:
             # best or the floor stops once its gain is small against the gap
             # to its upper end; a nonnegative one climbs to the fixed point,
             # where the Schur test below is tight, and has no use for a floor
-            off = [p.value not in (1.0, 2.0, math.inf) for p in ps]
-            climb = [not (o and f > u.value) for o, f, u in zip(off, floors, ups)]
-            lows = iter(best_lower_bound(
-                M, list(compress(ps, climb)), seed=seed, anchors=anchors,
-                _uppers=None if self.nonnegative else [u.value for u in compress(ups, climb)],
-                _floors=list(compress(floors, climb))))
+            pinned = {1.0: anchors.n1, 2.0: anchors.n2, math.inf: anchors.ninf}
+            off = [p.value not in pinned for p in ps]
+            climb = [o and not f > u.value for o, f, u in zip(off, floors, ups)]
+            es = list(compress(ps, climb))
+            gaps = {} if self.nonnegative else {
+                "_uppers": [u.value for u in compress(ups, climb)],
+                "_floors": list(compress(floors, climb))}
+            # a lone exponent goes bare, so its one result describes the whole
+            # call; the ascent is looked up by its module name on every call,
+            # so a wrapper installed there sees every ascent
+            found = ascent_lower_bound(M, es[0] if len(es) == 1 else es, seed=seed,
+                                       **gaps) if es else ()
+            ascents = iter((found,) if len(es) == 1 else found)
             for p, o, c, up in zip(ps, off, climb, ups):
-                if c:
-                    lo, tag, x = next(lows)  # x is None at the anchors
+                if not o:
+                    lo, tag, x = pinned[p.value], "anchor", None
+                elif c:
+                    ascent = next(ascents)
+                    lo, tag, x = ascent.value, "boyd", ascent.maximizer
                 else:
                     lo, tag, x = (vec_norm(M.sum(axis=1), p) / vec_norm(np.ones(len(M)), p),
                                   "ones-vector", None)

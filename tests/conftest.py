@@ -21,10 +21,16 @@ def same_ascent(a, b) -> bool:
 
 @pytest.fixture
 def ascent_calls(monkeypatch) -> list:
-    """One entry per call of ``estimator.ascent_lower_bound`` made through
-    its module name, as the engine makes them."""
+    """One (args, kwargs, result) entry per call of
+    ``estimator.ascent_lower_bound`` made through its module name, as the
+    engine makes them."""
     calls = []
     ascent = opnorm.estimator.ascent_lower_bound
-    monkeypatch.setattr(opnorm.estimator, "ascent_lower_bound",
-                        lambda *a, **kw: calls.append(1) or ascent(*a, **kw))
+
+    def recorded(*args, **kwargs):
+        result = ascent(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(opnorm.estimator, "ascent_lower_bound", recorded)
     return calls

@@ -8,8 +8,9 @@ import pytest
 from conftest import random_complex, same_ascent, svd_norm
 
 from opnorm import estimator
-from opnorm.core import INF, as_exponent, as_matrix, dual_exponent, vec_norm
+from opnorm.core import INF, Exponent, as_exponent, as_matrix, dual_exponent, vec_norm
 from opnorm.estimator import (
+    AscentResult,
     CertificateError,
     _ascent_starts,
     _random_starts,
@@ -198,7 +199,8 @@ def test_block_ascent_matches_a_loop_over_its_starts():
     cases = [A for n in (3, 5, 8) for A in (rng.standard_normal((n, n)), random_complex(rng, n, n))]
     for A in [*cases, holes, holes * (1.0 - 0.5j)]:
         for p in (2.0, 2.5, 4.0, 8.0):
-            starts = _ascent_starts(as_matrix(A), [as_exponent(p)], 8, 0)[0]
+            M = as_matrix(A)
+            starts = _ascent_starts(M, np.abs(M), [as_exponent(p)], 8, 0)[0]
             want = max(_loop_ascent(A, p, x) for x in starts)
             assert ascent_lower_bound(A, p).value == pytest.approx(want, rel=1e-12)
 
@@ -331,6 +333,29 @@ def test_bounds_run_one_ascent_for_all_exponents(ascent_calls):
     assert many == tuple(analysis.bound(p) for p in ps)
     assert analysis.bounds(()) == ()
     assert analysis.bounds([3.0]) == (certified_bound(A, 3.0),)
+
+
+def test_engine_reaches_the_ascent_by_one_call_per_query(ascent_calls):
+    # a lone climbing exponent goes bare, so the call returns one
+    # AscentResult; the upper end and the floor go as sequences in step with
+    # it, and only for signed and complex input, since a nonnegative ascent
+    # climbs to its fixed point; the anchors take no ascent
+    rng = np.random.default_rng(67)
+    certified_bound(rng.standard_normal((6, 6)), 3.0)
+    [(args, kwargs, result)] = ascent_calls
+    assert isinstance(args[1], Exponent) and args[1].value == 3.0
+    assert isinstance(result, AscentResult)
+    assert len(kwargs["_uppers"]) == len(kwargs["_floors"]) == 1
+    ascent_calls.clear()
+    certified_bound(np.abs(rng.standard_normal((6, 6))), 3.0)
+    [(args, kwargs, result)] = ascent_calls
+    assert isinstance(args[1], Exponent) and isinstance(result, AscentResult)
+    assert kwargs.get("_uppers") is None and kwargs.get("_floors") is None
+    ascent_calls.clear()
+    analysis = analyze(rng.standard_normal((6, 6)))
+    assert analysis.rule == "general"
+    analysis.bounds((1.0, 2.0, INF))
+    assert not ascent_calls
 
 
 def test_direct_sum_runs_one_ascent_per_unstructured_block(ascent_calls):
@@ -484,7 +509,7 @@ def test_gap_stop_known_saddle_loss_stays_pinned():
     fine = ascent_lower_bound(A, 3).value
     loss = (fine - b.lower) / (b.upper - fine)
     assert 1e-4 < loss < 4e-3
-    assert b.lower == ascent_lower_bound(A, 3, _uppers=b.upper).value
+    assert b.lower == ascent_lower_bound(A, 3, _uppers=[b.upper]).value
 
 
 _CLI_PS = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, INF)
@@ -535,7 +560,7 @@ def test_best_gap_stop_known_saddle_losses_stay_pinned():
         fine = ascent_lower_bound(A, p).value
         loss = (fine - b.lower) / (b.upper - fine)
         assert lo < loss < hi
-        assert b.lower == ascent_lower_bound(A, p, _uppers=b.upper).value
+        assert b.lower == ascent_lower_bound(A, p, _uppers=[b.upper]).value
 
 
 def test_signed_bounds_keep_their_bits_whichever_exponents_share_the_query():
@@ -582,8 +607,8 @@ def test_engine_lower_end_holds_in_exact_arithmetic():
         n = 3 + i % 6
         A = np.random.default_rng(i).standard_normal((n, n))
         U = upper_bound_from_anchors(anchor_norms(A), as_exponent(4)).value
-        L, tag, x = best_lower_bound(A, 4, _uppers=U)
-        assert tag == "boyd"
+        ascent = ascent_lower_bound(A, 4, _uppers=[U])
+        L, x = ascent.value, ascent.maximizer
         F = [[Fraction(float(a)) for a in row] for row in A]
         X = [(Fraction(float(v.real)), Fraction(float(v.imag))) for v in x]
         MX = [(sum(F[r][j] * X[j][0] for j in range(n)), sum(F[r][j] * X[j][1] for j in range(n)))
@@ -701,6 +726,13 @@ def test_best_lower_bound_prefers_anchor_tag_on_tie():
     assert v == pytest.approx(vec_norm(np.array([[1, 2], [3, 4]]) @ x, 1.5), rel=1e-15)
 
 
+def test_best_lower_bound_rejects_a_nonsquare_matrix_at_every_exponent():
+    # an anchor exponent takes no ascent, which checks the shape elsewhere
+    for p in (1.0, 1.5, 2.0, INF, (1.0, INF), ()):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            best_lower_bound(np.ones((2, 3)), p, anchors=anchor_norms(magic3()))
+
+
 def test_certified_bound_exact_cases():
     for p in (1, 1.5, 2, 4, INF):
         b = certified_bound(np.diag([1.0, 2.0]), p)
@@ -738,9 +770,13 @@ def test_circulant_lower_end_is_the_larger_of_certificate_and_ascent():
         analysis = analyze(densify(Circulant(random_complex(rng, n))))
         assert analysis.rule == "circulant"
         an = analysis.anchors
-        ups = [upper_bound_from_anchors(an, p).value for p in grid]
-        lows = best_lower_bound(analysis.matrix, grid, anchors=an, _uppers=ups)
-        for p, b, (value, tag, _) in zip(grid, analysis.bounds(grid), lows):
+        pinned = {1.0: an.n1, 2.0: an.n2, math.inf: an.ninf}
+        off = [p for p in grid if p.value not in pinned]
+        ascents = iter(ascent_lower_bound(analysis.matrix, off, _uppers=[
+            upper_bound_from_anchors(an, p).value for p in off]))
+        lows = [(pinned[p.value], "anchor") if p.value in pinned else (next(ascents).value, "boyd")
+                for p in grid]
+        for p, b, (value, tag) in zip(grid, analysis.bounds(grid), lows):
             if p.value in (1.0, 2.0) or p.is_inf:
                 assert (b.lower, b.lower_provenance, tag) == (value, "anchor", "anchor")
                 continue

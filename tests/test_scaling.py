@@ -131,3 +131,18 @@ def test_scaled_profile_keeps_unimodal_verdict(name):
     want = profile(A).unimodal
     for s in _SCALES:
         assert profile(s * A).unimodal == want
+
+
+def test_schur_upper_end_gap_under_scaling_stays_pinned():
+    # A known gap: at p = 3 the Schur upper ends of this nonnegative matrix
+    # and of 1e150 times it differ by 4.85e-9 relative, since on the
+    # unit-scaled copy the ascent picks another of several near-tied starts,
+    # and a Schur bound at a maximizer converged to a 1e-12 gain is only that
+    # accurate.  Both intervals are certified, so they overlap; this pins the
+    # gap so that it cannot grow unseen.
+    A = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    s = 1e150
+    base, scaled = certified_bound(A, 3), certified_bound(s * A, 3)
+    assert base.upper_provenance == scaled.upper_provenance == "schur"
+    assert scaled.lower <= s * base.upper and s * base.lower <= scaled.upper
+    assert abs(scaled.upper - s * base.upper) < 1e-8 * scaled.upper
