@@ -34,7 +34,9 @@ direction.
 The seeded random starts are built once per (n, count, seed) and cached as
 a read-only block; the column norms that pick a start, the start
 normalisation and the final objectives are one pass each over every
-exponent.
+exponent, and so is the wrap-up of the winning starts: the map back from
+the dual, the normalisation and the value recomputed on the caller's
+matrix, with one matrix-vector product per winner and side.
 For 1 < p < 2 the iteration runs on (A*, q) and maps the maximizer back
 through the duality relation ||A||_p = ||A*||_q, which keeps the working
 exponent >= 2.
@@ -52,7 +54,8 @@ ulp outward where it rounded inward.  The public functions that the engine
 calls on that copy (the ascent, the two-norm, the recognizers) scale their
 own input by the same helper, which finds k = 0 on the engine's copy and
 copies nothing; the ascent recomputes its value on the caller's matrix.
-Only the Schur test keeps a scaling of its own.
+Only the Schur test keeps a scaling of its own, taken once per query for
+every maximizer it tests.
 
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
@@ -259,12 +262,14 @@ def _powers(S: np.ndarray, P: np.ndarray, E, fast) -> np.ndarray:
     return P
 
 
-def _group_powers(S: np.ndarray, P: np.ndarray, exponents, counts) -> np.ndarray:
+def _group_powers(S: np.ndarray, P: np.ndarray | None, exponents, counts) -> np.ndarray:
     """``_powers`` for a block S whose next counts[i] rows (entries along
-    its first axis) take exponents[i]: one scalar exponent where all groups
-    share it, as np.power takes it alone."""
+    its first axis) take exponents[i], into P, or a new array where P is
+    None: one scalar exponent where all groups share it, as np.power takes
+    it alone."""
     if len(set(exponents)) == 1:
         return np.power(S, exponents[0], out=P)
+    P = np.empty(S.shape) if P is None else P
     E = np.empty(S.shape)
     E[...] = np.repeat(exponents, counts).reshape(-1, *(1,) * (S.ndim - 1))
     offsets = list(accumulate(counts, initial=0))
@@ -278,8 +283,8 @@ def _row_pnorms(Y: np.ndarray, rs, counts) -> np.ndarray:
     a = np.abs(Y)
     top = a.max(axis=1)
     s = a / np.maximum(top, _TINY)[:, None]
-    sums = _group_powers(s, np.empty_like(s), rs, counts).sum(axis=1)
-    return top * _group_powers(sums, np.empty_like(sums), [1.0 / v for v in rs], counts)
+    sums = _group_powers(s, None, rs, counts).sum(axis=1)
+    return top * _group_powers(sums, None, [1.0 / v for v in rs], counts)
 
 
 def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray | None,
@@ -694,19 +699,19 @@ def _endpoint_ascent(M: np.ndarray, a: np.ndarray, p: Exponent) -> tuple:
     at p in {1, inf}, read off the modulus a of M: the first largest column
     sum at p = 1 and row sum at p = inf, as ``norm_one_attained`` and
     ``norm_inf_attained`` give them."""
-    n = M.shape[0]
     sums = a.sum(axis=0 if p.value == 1.0 else 1)
     i = int(np.argmax(sums))
     value = float(sums[i])
+    x = np.zeros(len(M), dtype=np.complex128)
     if p.value == 1.0:
-        x = np.zeros(n, dtype=np.complex128)
         x[i] = 1.0
-        return value, x, 0, True
-    mod = a[i]
-    x = np.divide(np.conj(M[i]), mod, out=np.zeros(n, dtype=np.complex128), where=mod > 0.0)
-    if not np.any(x):
-        x = np.zeros(n, dtype=np.complex128)
-        x[0] = 1.0
+    else:
+        # the phases of the row scaled into the normal range: a complex
+        # quotient by a subnormal modulus overflows
+        row = _unit_scale(M[i], float(a[i].max()))[0]
+        np.divide(np.conj(row), np.abs(row), out=x, where=row != 0.0)
+        if not np.any(x):
+            x[0] = 1.0
     return value, x, 0, True
 
 
@@ -732,6 +737,11 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None, 
     directly.  A call takes the modulus |A| once, and reads off it the
     power-of-two scale, the start columns of both working matrices, the
     sums of the exact formulas and the n1 and ninf of the rounding below.
+    One pass wraps up the winners of every exponent (``_attained``): the
+    map back from A* for p < 2, the normalisation and the value recomputed
+    on A, with one matrix-vector product per winner and side, each power
+    over a full-shape exponent array and each root a Python float power,
+    so each exponent keeps the bits it has alone.
 
     ``_uppers``, for the engine only, is a sequence in step with the
     exponents (one entry for a lone exponent) of upper ends U on ||A||_p,
@@ -789,13 +799,13 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None, 
                   for dual, W in work.items()}
         runs = [(W, r, next(starts[id(W)]), None if u is None else math.ldexp(u, k),
                  0.0 if u is None else math.ldexp(f, k)) for W, r, u, f in plan]
-        found = iter(zip(runs, _block_ascent(runs)))
+        found = iter(_attained(M, [e for e, _, _ in climb], runs, _block_ascent(runs)))
     results, lines = [], None
     for e, u in zip(ps, ends):
         if e.value == 1.0 or e.is_inf:
             value, *rest = _endpoint_ascent(M, a, e)
         else:
-            value, *rest = _climbed(M, e, *next(found))
+            value, *rest = next(found)
         if u is not None:
             if lines is None:
                 lines = float(a.sum(axis=0).max()), float(a.sum(axis=1).max())
@@ -804,28 +814,50 @@ def ascent_lower_bound(A, p, restarts: int = 8, seed: int = 0, *, _uppers=None, 
     return results[0] if one else tuple(results)
 
 
-def _climbed(M: np.ndarray, e: Exponent, run, winner) -> tuple:
-    """(value, maximizer, iterations, converged) of the winning start of
-    ``_block_ascent``'s run for exponent e, mapped back to M and its value
-    recomputed there."""
-    (W, r, *_), (xi, iterations, converged) = run, winner
-    if e.value < 2.0:
-        # map the dual maximizer eta back: xi = Phi_q(A* eta) attains at
-        # least the dual objective, by the Hoelder equality of the duality
-        # map; it is taken as in _image_step, Phi_r(y) / max|y|^(r-1) at
-        # y = W eta
-        y = W @ xi
-        a = np.abs(y)
-        scale = max(float(a.max()), _NORMAL)
-        xi = y * ((a / scale) ** (r.value - 2.0) / scale)
-        if not np.any(xi):
-            xi = np.ones(M.shape[0], dtype=np.complex128)
-        xi = xi / vec_norm(xi, e)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value = vec_norm(M @ xi, e)
-    if not math.isfinite(value):
+def _row_norms(Y: np.ndarray, ps) -> list[float]:
+    """``vec_norm(y, p)`` of every row y of Y at its finite exponent p > 1,
+    bit for bit: one modulus and one power (``_group_powers``) for all rows,
+    each root a Python float power, or at p = 2 a square root.  A zero row
+    takes 0, its top, as its norm, and its sum is 0 / 0 = nan: the caller
+    ignores invalid operations (``np.errstate``)."""
+    a = np.abs(Y)
+    top = a.max(axis=1)
+    sums = _group_powers(a / top[:, None], None, ps, [1] * len(ps)).sum(axis=1)
+    return [t and t * (math.sqrt(v) if p == 2.0 else v ** (1.0 / p))
+            for t, v, p in zip(top.tolist(), sums.tolist(), ps)]
+
+
+def _attained(M: np.ndarray, es, runs, winners) -> list[tuple]:
+    """(value, maximizer, iterations, converged) at each exponent of es from
+    the winning start of ``_block_ascent``'s run for it, mapped back to M and
+    its value recomputed there, in one pass over all of them.
+
+    A dual maximizer eta (e < 2) is mapped back: xi = Phi_q(A* eta) attains
+    at least the dual objective, by the Hoelder equality of the duality map;
+    it is taken as in _image_step, Phi_r(y) / max|y|^(r-1) at y = W eta (the
+    ones vector where that is zero), and scaled to p-norm 1.  Each product
+    is a gemv of its own, and each power takes each row's exponent
+    (``_group_powers``), so every row has the bits of a pass of its own.
+    """
+    order = sorted(range(len(es)), key=lambda i: es[i].value >= 2.0)  # the dual rows first
+    ps, d = [es[i].value for i in order], sum(e.value < 2.0 for e in es)
+    X = np.array([winners[i][0] for i in order])
+    # an overflow is checked below, and a zero row's nan sum is dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d:
+            Y = np.array([runs[i][0] @ x for i, x in zip(order, X[:d])])
+            a = np.abs(Y)
+            scale = np.maximum(a.max(axis=1, keepdims=True), _NORMAL)
+            ups = [runs[i][1].value - 2.0 for i in order[:d]]
+            np.multiply(Y, _group_powers(a / scale, None, ups, [1] * d) / scale, out=X[:d])
+            for x, v, p in zip(X, _row_norms(X[:d], ps[:d]), ps):
+                if v == 0.0:  # a zero row: the ones vector, at its p-norm
+                    x[:], v = 1.0, len(x) ** (1.0 / p)
+                x /= v
+        values = _row_norms(np.array([M @ x for x in X]), ps)
+    if not all(map(math.isfinite, values)):
         raise ValueError("ascent value must be finite")
-    return value, xi, iterations, converged
+    return [(v, x, *winners[i][1:]) for i, v, x in sorted(zip(order, values, X))]
 
 
 def best_lower_bound(A, p, seed: int = 0, anchors: AnchorNorms | None = None):
@@ -883,11 +915,11 @@ def _rounded_down(value: float, p: Exponent, n: int, n1: float, ninf: float) -> 
     return max(0.0, math.nextafter(value - slack, -math.inf))
 
 
-def _schur_upper(M: np.ndarray, p: Exponent, xi: np.ndarray) -> float | None:
+def _schur_upper(M: np.ndarray, pairs) -> list[float | None]:
     """Schur-test upper bound on ||M||_p, 1 < p < inf, for a real entrywise
-    nonnegative M at the vector x = |xi|, rounded outward; None when some
-    x_j or x_j^(p-1), with x scaled to max x in [0.5, 1), is below 2^-600
-    (as at a zero x_j).
+    nonnegative M at the vector x = |xi|, rounded outward, for each (p, xi)
+    of ``pairs``; None where some x_j or x_j^(p-1), with x scaled to max x in
+    [0.5, 1), is below 2^-600 (as at a zero x_j).
 
     For x > 0, y = M x and any w > 0, lam = max_i y_i / w_i and
     mu = max_j (M^T w^(p-1))_j / x_j^(p-1) give ||M||_p <= lam^(1/q) mu^(1/p),
@@ -896,8 +928,11 @@ def _schur_upper(M: np.ndarray, p: Exponent, xi: np.ndarray) -> float | None:
     max_j ((M^T y^(p-1))_j / x_j^(p-1))^(1/p), which equals the norm at a
     fixed point of the ascent (Boyd 1974; Higham 1992).  Here w is clamped
     to at least 2^-600, which covers rows whose y rounded to zero.  Scaling
-    x or M changes nothing, so both are first scaled into [0.5, 1) by powers
-    of two; M then has an entry of at least 0.5, so max y >= 2^-601.
+    x or M changes nothing, so M is scaled once and every x, each by its
+    own power of two, into [0.5, 1); M then has an entry of at least 0.5,
+    so max y >= 2^-601.  Each product is a gemv of its own and each power
+    takes each pair's exponent (``_group_powers``), so every pair has the
+    bits of a call of its own.
 
     Rounding (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
     ed., section 3.1): u = 2^-53, gamma_k = k u / (1 - k u), arithmetic
@@ -913,22 +948,26 @@ def _schur_upper(M: np.ndarray, p: Exponent, xi: np.ndarray) -> float | None:
     """
     e = math.frexp(float(M.real.max()))[1]
     S = np.ldexp(M.real, -e)
-    x = np.abs(xi)
-    x = np.ldexp(x, -math.frexp(float(x.max()))[1])
-    pv = p.value
-    px = x ** (pv - 1.0)
-    low = float(px.min())
-    if low < _SCHUR_FLOOR or float(x.min()) < _SCHUR_FLOOR:
-        return None
-    n = x.size
-    y = S.dot(x)
-    top = float(y.max())
-    w = np.maximum(y / top, _SCHUR_FLOOR)
-    lam = top + n * 2.0 ** -470
-    mu = float(((w ** (pv - 1.0)).dot(S) / px).max()) + 3.0 * n * 2.0 ** -1074 / low
-    slack = 2.0 * n + 32.0 + 4.0 * (abs(math.log(lam)) + abs(math.log(mu)) / pv)
-    bound = lam ** (1.0 - 1.0 / pv) * mu ** (1.0 / pv) * (1.0 + slack * _U / (1.0 - slack * _U))
-    return math.nextafter(math.ldexp(bound, e), math.inf)
+    X = np.abs(np.array([xi for _, xi in pairs]))
+    X = np.ldexp(X, -np.frexp(X.max(axis=1, keepdims=True))[1])
+    ups = [p.value - 1.0 for p, _ in pairs]
+    PX = _group_powers(X, None, ups, [1] * len(pairs))
+    lows = PX.min(axis=1).tolist()
+    keep = [i for i, x in enumerate(X.min(axis=1).tolist()) if min(lows[i], x) >= _SCHUR_FLOOR]
+    out, n = [None] * len(pairs), X.shape[1]
+    if keep:
+        Y = np.array([S.dot(X[i]) for i in keep])
+        top = Y.max(axis=1)
+        W = _group_powers(np.maximum(Y / top[:, None], _SCHUR_FLOOR), None, [ups[i] for i in keep],
+                          [1] * len(keep))
+        mus = (np.array([w.dot(S) for w in W]) / PX[keep]).max(axis=1)
+        for i, lam, mu in zip(keep, (top + n * 2.0 ** -470).tolist(), mus.tolist()):
+            pv = pairs[i][0].value
+            mu += 3.0 * n * 2.0 ** -1074 / lows[i]
+            slack = 2.0 * n + 32.0 + 4.0 * (abs(math.log(lam)) + abs(math.log(mu)) / pv)
+            bound = lam ** (1.0 - 1.0 / pv) * mu ** (1.0 / pv) * (1.0 + slack * _U / (1.0 - slack * _U))
+            out[i] = math.nextafter(math.ldexp(bound, e), math.inf)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1219,30 +1258,30 @@ class Analysis:
             # a lone exponent goes bare, so its one result describes the whole
             # call; the ascent is looked up by its module name on every call,
             # so a wrapper installed there sees every ascent
-            found = ascent_lower_bound(M, es[0] if len(es) == 1 else es, seed=seed,
-                                       **gaps) if es else ()
-            ascents = iter((found,) if len(es) == 1 else found)
+            found = ([ascent_lower_bound(M, es[0], seed=seed, **gaps)] if len(es) == 1 else
+                     ascent_lower_bound(M, es, seed=seed, **gaps) if es else ())
+            # the Schur test at every maximizer of a nonnegative matrix at once
+            ascents = zip(found, _schur_upper(M, [(p, a.maximizer) for p, a in zip(es, found)])
+                          if es and self.nonnegative else [None] * len(es))
             for p, o, c, up in zip(ps, off, climb, ups):
                 if not o:
-                    lo, tag, x = pinned[p.value], "anchor", None
+                    lo, tag, schur = pinned[p.value], "anchor", None
                 elif c:
-                    ascent = next(ascents)
-                    lo, tag, x = ascent.value, "boyd", ascent.maximizer
+                    ascent, schur = next(ascents)
+                    lo, tag = ascent.value, "boyd"
                 else:
-                    lo, tag, x = (vec_norm(M.sum(axis=1), p) / vec_norm(np.ones(len(M)), p),
-                                  "ones-vector", None)
+                    lo, tag, schur = (vec_norm(M.sum(axis=1), p) / vec_norm(np.ones(len(M)), p),
+                                      "ones-vector", None)
                 lowers, uppers = [(lo, tag)], [up]
                 if o and rule == "circulant":
                     # at the anchors lo is the norm itself; off them a
                     # circulant's attaining root-of-unity eigenvector
                     # certifies the spectral value as a lower end
                     lowers.insert(0, (anchors.n2, "eigen-certificate"))
-                if x is not None and self.nonnegative:
-                    schur = _schur_upper(M, p, x)
-                    if schur is not None:
-                        # schur is certified, so a lower end above it exceeds
-                        # the norm by its rounding and is itself an upper end
-                        uppers.append((max(schur, lo), "schur"))
+                if schur is not None:
+                    # schur is certified, so a lower end above it exceeds the
+                    # norm by its rounding and is itself an upper end
+                    uppers.append((max(schur, lo), "schur"))
                 yield lowers, uppers
 
 

@@ -105,12 +105,14 @@ def _top_direction(G: np.ndarray) -> tuple[np.ndarray, int]:
     with the largest diagonal entry and the number of squarings.  Matmuls
     only: real input stays real.
     """
-    X = G / G.trace().real
+    X, Y = G / G.trace().real, np.empty_like(G)
     for squarings in range(1, _SQUARING_CAP + 1):
-        Y = X @ X
+        np.matmul(X, X, out=Y)
         Y /= Y.trace().real
-        settled = np.linalg.norm(Y - X) <= _SQUARING_TOL * np.linalg.norm(Y)
-        X = Y
+        # squared Frobenius norms; X, no longer needed, takes Y - X
+        np.subtract(Y, X, out=X)
+        settled = np.vdot(X, X).real <= _SQUARING_TOL ** 2 * np.vdot(Y, Y).real
+        X, Y = Y, X
         if settled:
             break
     return X[:, int(np.argmax(X.diagonal().real))], squarings

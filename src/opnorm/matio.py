@@ -95,18 +95,30 @@ def _read_json(text: str) -> np.ndarray:
 
 
 def _read_csv(text: str) -> np.ndarray:
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip() and not line.lstrip().startswith("#")]
+    # complex() reads a token with every "i" made a "j" as parse_complex_token
+    # reads it, or rejects it, unless the text holds a "j", "J" or a
+    # parenthesis, which complex() alone accepts: such a text, a token that
+    # complex() rejects and ragged rows take the per-token parser, for its
+    # values and its messages
+    fast = "\n".join(line for _, line in lines).replace("i", "j").split("\n")
+    if lines and len({f.count(",") for f in fast}) == 1 and not any(c in text for c in "jJ()"):
+        try:
+            flat = list(map(complex, ",".join(fast).split(",")))
+        except ValueError:
+            pass
+        else:
+            return _validated(np.array(flat).reshape(len(lines), -1))
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in lines:
         try:
             rows.append([parse_complex_token(t) for t in line.split(",")])
         except MatrixParseError as exc:
             raise MatrixParseError(f"line {lineno}: {exc}") from exc
     if not rows:
         raise MatrixParseError("no matrix rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len(set(map(len, rows))) > 1:
         raise MatrixParseError("rows have inconsistent lengths")
     return _validated(np.array(rows, dtype=np.complex128))
 

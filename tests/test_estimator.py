@@ -390,7 +390,7 @@ def test_nonnegative_bounds_keep_the_fixed_point_ascent():
             else:
                 ascent = ascent_lower_bound(A, p)
                 lo, tag = ascent.value, "boyd"
-                schur = estimator._schur_upper(as_matrix(A), p, ascent.maximizer)
+                schur = estimator._schur_upper(as_matrix(A), [(p, ascent.maximizer)])[0]
                 if schur is not None and schur < up.value:
                     up = UpperEstimate(max(schur, lo), "schur")
             assert _hex(b) == (min(lo, up.value).hex(), up.value.hex(), tag, up.provenance)
@@ -573,6 +573,50 @@ def test_signed_bounds_keep_their_bits_whichever_exponents_share_the_query():
               direct_sum([magic3(), random_complex(rng, 5, 5)])):
         for i, b in enumerate(analyze(A).bounds(ps)):
             assert _hex(b) == _hex(analyze(A).bounds((ps[i],))[0])
+
+
+def test_nonnegative_bounds_keep_their_bits_whichever_exponents_share_the_query():
+    # the wrap-up and the Schur test take every exponent of a query in one
+    # pass; each interval keeps the bits of the same exponent queried alone
+    rng = np.random.default_rng(73)
+    grid = [p.value for p in default_grid()]
+    schur = 0
+    for n in range(3, 17):
+        A = np.abs(rng.standard_normal((n, n)))
+        ps = list(rng.permutation(grid)) + list(rng.choice(grid, 4))
+        analysis = analyze(A)
+        for p, b in zip(ps, analysis.bounds(ps)):
+            assert _hex(b) == _hex(analyze(A).bounds((p,))[0])
+            schur += b.upper_provenance == "schur"
+    assert schur > 100
+
+
+def test_profile_points_keep_the_bits_of_lone_queries():
+    rng = np.random.default_rng(74)
+    for A in (np.abs(rng.standard_normal((7, 7))), rng.standard_normal((9, 9)),
+              random_complex(rng, 6, 6), random_complex(rng, 12, 12)):
+        prof = profile(A)
+        for p, b in zip(prof.grid, prof.bounds):
+            assert _hex(b) == _hex(certified_bound(A, p))
+
+
+def test_inf_endpoint_of_a_subnormal_complex_matrix():
+    # the phases of the attaining row are taken on the row scaled into the
+    # normal range, where no complex quotient overflows
+    for seed in range(20):
+        B0 = random_complex(np.random.default_rng(seed), 3, 3)
+        for k in (-1060, -1066, -1040):
+            B = B0 * 2.0 ** k
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = ascent_lower_bound(B, INF)
+            x = result.maximizer
+            assert np.isfinite(x).all()
+            assert np.abs(np.abs(x) - 1.0).max() <= 4e-16
+            # ||B x||_inf / ||x||_inf, taken on B0 and scaled, up to the
+            # subnormal rounding of the row sum
+            quotient = math.ldexp(float(np.abs(B0 @ x).max() / np.abs(x).max()), k)
+            assert result.value == pytest.approx(quotient, rel=1e-12, abs=16 * 2.0 ** -1074)
 
 
 def test_public_ascent_keeps_the_fine_stop():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opnorm import matio
 from opnorm.matio import (
     MatrixParseError,
     format_complex_token,
@@ -122,6 +123,58 @@ def test_csv_comments_blank_lines_and_errors(tmp_path):
     p.write_text("1,oops\n")
     with pytest.raises(MatrixParseError):
         read_matrix(p)
+
+
+def _per_token_csv(text):
+    """The CSV reader's per-token path: the reference of its fast path."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            rows.append([parse_complex_token(t) for t in line.split(",")])
+        except MatrixParseError as exc:
+            raise MatrixParseError(f"line {lineno}: {exc}") from exc
+    if not rows:
+        raise MatrixParseError("no matrix rows found")
+    if len({len(r) for r in rows}) > 1:
+        raise MatrixParseError("rows have inconsistent lengths")
+    return matio._validated(np.array(rows, dtype=np.complex128))
+
+
+def _read_or_error(read, text):
+    try:
+        return read(text).view(np.uint64).tolist()
+    except MatrixParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("token", ["(1+2i)", "j", "1 + 2i", "2I", "-i", "-0.0", "1_0", "inf",
+                                   "nan", "2j", "1+2J", "(3)", "i", "+i", "1.5e-3-2i", "infi"])
+@pytest.mark.parametrize("layout", ["{t},1\n2,3\n", "# c\n\n {t} ,1\n\n2,-3i\n",
+                                    "# c(j)\n{t},1\n2,3\n", "1,{t}\n2\n", "{t}\n"])
+def test_csv_fast_path_reads_every_token_as_the_per_token_path(token, layout):
+    # the vectorised path gives the same array, or the same error, as the
+    # per-token parser on every token, blank and comment line and ragged row
+    text = layout.format(t=token)
+    assert _read_or_error(matio._read_csv, text) == _read_or_error(_per_token_csv, text)
+
+
+def test_csv_round_trip_is_bit_exact(tmp_path, monkeypatch):
+    # the files write_matrix writes take the fast path alone
+    rng = np.random.default_rng(23)
+    path = tmp_path / "m.csv"
+    monkeypatch.setattr(matio, "parse_complex_token", None)
+    for i in range(100):
+        n = 1 + i % 12
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+        if i % 2:
+            A = A + 1j * rng.standard_normal((n, n))
+        write_matrix(path, A)
+        got = read_matrix(path)
+        assert got.view(np.uint64).tolist() == A.astype(complex).view(np.uint64).tolist()
+        want = _per_token_csv(path.read_text())
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_format_sniffing(tmp_path):
