@@ -300,7 +300,7 @@ def _image_step(Y: np.ndarray, S: np.ndarray, U: np.ndarray, D: np.ndarray | Non
     norm is taken.
     """
     a = np.abs(Y)
-    m = np.maximum(a.max(axis=1), _NORMAL)
+    m = a.max(axis=1, initial=_NORMAL)
     scale = m[:, None]
     np.divide(a, scale, out=S)
     _powers(S, U, E, fast)
@@ -322,7 +322,7 @@ def _preimage_step(Z: np.ndarray, S: np.ndarray, V: np.ndarray,
     has v = 0, so its entry stays zero.
     """
     a = np.abs(Z)
-    np.divide(a, np.maximum(a.max(axis=1), _TINY)[:, None], out=S)
+    np.divide(a, a.max(axis=1, initial=_TINY)[:, None], out=S)
     _powers(S, V, E, fast)
     return (V * S).sum(axis=1), Z * (V / np.maximum(a, _NORMAL))
 

@@ -9,6 +9,7 @@ real like ``-1.5``, or ``a+bi`` / ``a-bi`` with a lowercase ``i``.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -42,11 +43,13 @@ def parse_complex_token(tok: str) -> complex:
 
 
 def format_complex_token(z: complex) -> str:
+    """The CSV token of z; an imaginary part is written unless it is +0.0,
+    so a -0.0 keeps its sign bit through a round trip."""
     re, im = float(z.real), float(z.imag)
-    if im == 0.0:
+    negative = math.copysign(1.0, im) < 0.0
+    if im == 0.0 and not negative:
         return repr(re)
-    sign = "+" if im >= 0.0 else "-"
-    return f"{re!r}{sign}{abs(im)!r}i"
+    return f"{re!r}{'-' if negative else '+'}{abs(im)!r}i"
 
 
 def _validated(M: np.ndarray) -> np.ndarray:

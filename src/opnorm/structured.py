@@ -17,6 +17,12 @@ Conventions (all indices 0-based, cyclic arithmetic mod n):
 A circulant is *logarithmic affine* exactly when one global phase beta and
 one n-th root of unity omega align every coefficient: coeffs[i] * omega^i =
 beta * |coeffs[i]|; its norm is then sum |coeffs[i]| for every p.
+
+Each recognizer that ``analyze`` runs rejects most matrices early: after at
+most one modulus pass, it tests a necessary condition of its full test on a
+few rows (one coefficient column for the root search), with the full test's
+own elementwise expressions, and runs the full test only when that passes.
+A verdict and a witness are those of the full test alone.
 """
 
 from __future__ import annotations
@@ -203,19 +209,33 @@ def densify(x) -> np.ndarray:
 # Every tolerance is relative to the largest modulus it tests, so a verdict
 # does not change when the matrix is scaled.
 
-def _struct_tol(M: np.ndarray) -> float:
-    return REL_TOL * float(np.abs(M).max())
+def _peak(x: np.ndarray) -> float:
+    """``float(x.max())`` of a nonempty real array: the same entry, read at
+    ``x.argmax()``, which skips the Python layer of ``ndarray.max``."""
+    return x.item(x.argmax())
 
 
 def _as_cyclic(A, kind: type[_CyclicLayout]) -> _CyclicLayout | None:
-    """The ``kind`` read off the first row, if every entry matches it."""
+    """The ``kind`` read off the first row, if every entry matches it to
+    REL_TOL max|A|.
+
+    The last row is compared first, with the same differences and the same
+    tolerance, so most matrices are rejected after one modulus pass and one
+    row; the whole layout is compared only when that row matches.
+    """
     M = as_matrix(A)
     n, m = M.shape
     if n != m:
         return None
     coeffs = M[0, :]
+    index = kind._index(n)
+    top = _peak(np.abs(M))
+    tol = REL_TOL * top
+    # below 2^1021 no difference overflows, and only there is the row read first
+    if top < 2.0 ** 1021 and _peak(np.abs(M[-1] - coeffs[index[-1]])) > tol:
+        return None
     with np.errstate(over="ignore"):  # a difference past the range is a mismatch
-        if float(np.abs(M - coeffs[kind._index(n)]).max()) <= _struct_tol(M):
+        if _peak(np.abs(M - coeffs[index])) <= tol:
             return kind(coeffs)
     return None
 
@@ -252,15 +272,15 @@ def as_tensor_rank_one(A) -> TensorRankOne | None:
     Scans the divisors of the matrix size for a block partition in which all
     blocks are scalar multiples of a common core and the scalar grid has rank
     one.  Only the block sizes that pass ``_block_sizes_fit`` get the full
-    fit, so a matrix with no such size is rejected without one: in a fixed
-    number of array passes, and one more per size that passes the row test
-    of ``_block_sizes_fit`` alone.  The segment test of a size runs only
-    once every larger size has failed.  Returns None for the zero matrix (every partition is
+    fit, so a matrix with no such size is rejected from one modulus pass and
+    one row per divisor, and a size whose row passes costs one segment test
+    of one row more.  The segment test of a size runs only once every larger
+    size has failed.  Returns None for the zero matrix (every partition is
     degenerate).
     """
     M = as_matrix(A)
     n_total, m_total = M.shape
-    if n_total != m_total or n_total < 2 or not np.any(M):
+    if n_total != m_total or n_total < 2:
         return None
     sizes = [n_total // nb for nb in range(2, n_total + 1) if n_total % nb == 0]
     for m in _block_sizes_fit(M, sizes):
@@ -299,9 +319,11 @@ def _block_sizes_fit(M: np.ndarray, sizes: list[int]):
     """
     n = M.shape[0]
     mags = np.abs(M)
-    r0, c0 = divmod(int(np.argmax(mags)), n)
-    top = float(mags[r0, c0])
-    rows, k = _unit_scale(M[(r0 + np.array([0, *sizes])) % n], top)  # row r0 holds top
+    r0, c0 = divmod(int(mags.argmax()), n)
+    top = mags.item(r0, c0)
+    if top == 0.0:
+        return  # the zero matrix: every partition is degenerate
+    rows, k = _unit_scale(M.take([r0 + m for m in (0, *sizes)], axis=0, mode="wrap"), top)
     x, Y = rows[0], rows[1:]
     resid = np.abs(Y - (Y[:, c0] / x[c0])[:, None] * x).max(axis=1)
     tol = _SHIFT_SLACK * REL_TOL * math.ldexp(top, k) + math.ldexp(_SHIFT_SUBNORMAL_ULPS, k - 1074)
@@ -326,17 +348,19 @@ def doubly_balanced_norm(A) -> float | None:
     Entries must be real and nonnegative up to 1e-12 of the largest modulus
     (tiny negatives are clamped to 0) and all row and column sums must agree
     to 1e-9 relative; the common sum is then the operator norm at every
-    exponent.  The sums are taken on the clamped matrix brought to modulus
-    [1, 2) by a power of two, so they do not overflow, and the common sum is
-    scaled back exactly; it is inf only where it lies past the double range.
+    exponent.  The first two tests run on row 0 before the whole matrix,
+    with the same tolerance, so most matrices are rejected after one modulus
+    pass and one row.  The sums are taken on the clamped matrix brought to
+    modulus [1, 2) by a power of two, so they do not overflow, and the common
+    sum is scaled back exactly; it is inf only where it lies past the double
+    range.
     """
     M = as_square(A)
-    top = float(np.abs(M).max())
+    top = _peak(np.abs(M))
     tol = 1e-12 * top
-    if float(np.abs(M.imag).max()) > tol:
-        return None
-    if float(M.real.min()) < -tol:
-        return None
+    for part in (M[0], M):  # row 0 first: most matrices fail there
+        if _peak(np.abs(part.imag)) > tol or float(part.real.min()) < -tol:
+            return None
     # the clamped matrix's largest entry is top, to the rounding of a modulus
     R, k = _unit_scale(np.maximum(M.real, 0.0), top)
     rows = R.sum(axis=1)
@@ -384,16 +408,21 @@ def circulant_two_norm(c: Circulant) -> float:
 def classify_circulant_la(c: Circulant) -> LAWitness:
     """Search the n-th roots of unity for a logarithmic-affine witness.
 
-    All n roots are tested in one n x n evaluation on the coefficients
-    scaled by a power of two; the first root that passes is then checked
-    alone with that row, which is the witness returned.
+    The roots are tested on the coefficients scaled by a power of two.  All
+    n roots are first tested at one coefficient column, the next nonzero one
+    after the pivot, with the expression of an n x n evaluation; there an
+    aligned or generic circulant leaves few roots, often one.  Each root
+    that passes is then checked alone with its whole row, in order, and the
+    first that passes is the witness returned.
     """
     a = _unit_scale(c.coeffs)[0]
     amods = np.abs(a)
-    top = float(amods.max())
+    top = _peak(amods)
     if top == 0.0:
         return LAWitness(True, 1.0 + 0.0j, 1.0 + 0.0j, 0.0, degenerate=True)
-    i0 = int(np.argmax(amods > 0.0))  # first nonzero coefficient
+    nonzero = np.flatnonzero(amods)
+    i0 = int(nonzero[0])  # first nonzero coefficient
+    j = int(nonzero[1]) if nonzero.size > 1 else i0
     # the pivot and its modulus scaled by the pivot's own power of two, which
     # leaves every quotient's bits as they are, but keeps a subnormal pivot
     # from overflowing the reciprocal that a complex division forms
@@ -402,12 +431,11 @@ def classify_circulant_la(c: Circulant) -> LAWitness:
     pmod = math.ldexp(float(amods[i0]), e)
     bound = _LA_ALIGN_TOL * top
     table = _root_powers(c.n)
-    aligned = a * table
     betas = pivot * table[:, i0] / pmod
-    resid = np.abs(aligned - betas[:, None] * amods).max(axis=1)
-    # the block and the lone row round alike up to a few ulps; the doubled
+    # the column and the lone row round alike up to a few ulps; the doubled
     # bound only lets the lone row decide near the edge
-    for k in np.flatnonzero(resid <= 2.0 * bound).tolist():
+    column = np.abs(a[j] * table[:, j] - betas * amods[j])
+    for k in np.flatnonzero(column <= 2.0 * bound).tolist():
         omega_pows = table[k]
         beta = pivot * omega_pows[i0] / pmod
         if float(np.abs(a * omega_pows - beta * amods).max()) <= bound:

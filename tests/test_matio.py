@@ -177,6 +177,18 @@ def test_csv_round_trip_is_bit_exact(tmp_path, monkeypatch):
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+def test_csv_round_trip_keeps_negative_zero_imaginary_parts(tmp_path):
+    A = np.array([[complex(1.0, -0.0), complex(-0.0, -0.0)],
+                  [complex(0.0, -0.0), complex(-2.5, 0.0)]])
+    assert [format_complex_token(z) for z in A.ravel()] == ["1.0-0.0i", "-0.0-0.0i",
+                                                            "0.0-0.0i", "-2.5"]
+    path = tmp_path / "m.csv"
+    write_matrix(path, A)
+    want = A.view(np.uint64).tolist()
+    assert read_matrix(path).view(np.uint64).tolist() == want
+    assert _per_token_csv(path.read_text()).view(np.uint64).tolist() == want
+
+
 def test_format_sniffing(tmp_path):
     p = tmp_path / "matrix.txt"
     p.write_text('{"rows": 1, "cols": 1, "entries": [[7.0, 0.0]]}')
