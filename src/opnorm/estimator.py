@@ -58,8 +58,10 @@ Only the Schur test keeps a scaling of its own, taken once per query for
 every maximizer it tests.
 
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
-balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors,
-the log-affine anchor test) once per matrix.  At each exponent its rule
+balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors)
+once per matrix; the log-affine anchor test, which needs the squaring
+two-norm, runs once too, but only when an exponent off p = 1, inf or the
+rule itself is first asked for.  At each exponent its rule
 proposes lower candidates (attained value, tag) and upper candidates
 (certified value, tag): an exact rule one of each, a tensor its core's two
 ends scaled, a direct sum or Hankel layout every part's lower end and the
@@ -101,7 +103,7 @@ from .core import (
     dual_exponent,
     vec_norm,
 )
-from .exact import AnchorNorms, anchor_norms
+from .exact import AnchorNorms, anchor_norms, norm_inf, norm_one
 from .interp import (
     NormBound,
     _is_self_adjoint,
@@ -1089,6 +1091,12 @@ _EXACT_TAGS = {"scalar": "anchor", "balanced": "ones-vector",
                "circulant-la": "eigen-certificate", "log-affine": "anchor"}
 
 
+def _at_sums(ps) -> bool:
+    """Whether every exponent is 1 or inf, where the column and row sums
+    are the norm, and neither the two-norm nor a floor is needed."""
+    return all(p.value in (1.0, math.inf) for p in ps)
+
+
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """Everything structure pins about one square matrix, independent of p.
@@ -1123,21 +1131,47 @@ class Analysis:
     exponent, so that its result describes the call), with their upper ends
     and floors on signed and complex input only; at p = 1, 2, inf the lower
     end is ``own_anchors``' value.
+
+    A matrix that no recognizer claims leaves ``rule`` ("log-affine" or
+    "general") and ``own_anchors`` to be read on first use, from one
+    ``anchor_norms`` call, the squaring two-norm; an error of it surfaces
+    there.  Both rules answer p = 1 and inf with the column and row sums
+    alone, so a query made only of those exponents, also of a tensor core
+    or direct-sum block, runs no squaring.
     """
 
     matrix: np.ndarray
-    rule: str
-    own_anchors: AnchorNorms | None = None
+    _rule: str | None  # None: the anchor test decides, on first read
+    _anchors: AnchorNorms | None = None
     parts: tuple[Analysis, ...] = ()
     tensor: TensorRankOne | None = None
     unit: np.ndarray | None = None
     scale: int = 0
 
     @cached_property
+    def _anchor_test(self) -> tuple[str, AnchorNorms]:
+        """The anchor test's verdict and the anchors it read, from one
+        ``anchor_norms`` call."""
+        anchors = anchor_norms(self.unit)
+        return "log-affine" if la_report_from_anchors(anchors).is_la else "general", anchors
+
+    # plain properties: a recognizer's verdict is read at attribute speed
+    @property
+    def rule(self) -> str:
+        """The rule that fired; past the recognizers, the anchor test's."""
+        return self._rule or self._anchor_test[0]
+
+    @property
+    def own_anchors(self) -> AnchorNorms | None:
+        """Exact norms at p = 1, 2, inf of ``unit`` that an exact or anchor
+        rule reads; None for a rule that delegates to ``parts``."""
+        return self._anchors if self._rule else self._anchor_test[1]
+
+    @cached_property
     def anchors(self) -> AnchorNorms:
         """Exact norms at p = 1, 2, inf, read off ``bounds``, which every rule
         answers exactly at the anchors; the squaring two-norm runs only for
-        "log-affine" and "general"."""
+        "log-affine" and "general", once, shared with ``rule``."""
         return AnchorNorms(*(b.upper for b in self.bounds((1.0, 2.0, INF))))
 
     @cached_property
@@ -1210,6 +1244,12 @@ class Analysis:
         of lists.  Lower ends that need no ascent are floors of the ascent,
         with those of ``floors``: below the largest, starts trail and stop on
         the gap test (``ascent_lower_bound``)."""
+        if self._rule is None and _at_sums(ps):
+            # both anchor-test rules propose the column or row sum alone
+            for p in ps:
+                v = norm_inf(self.unit) if p.is_inf else norm_one(self.unit)
+                yield [(v, "anchor")], [(v, "anchor")]
+            return
         rule, anchors = self.rule, self.own_anchors
         if rule in _EXACT_TAGS:
             for p in ps:
@@ -1227,8 +1267,10 @@ class Analysis:
             # norm is the largest part norm, so every part's lower end is a
             # lower end, and the largest part upper end is the upper end.  The
             # parts that run no ascent go first, and their lower ends are
-            # floors of the others' ascents
-            ends = [None if a._climbs else a._bounds(ps, seed, floors) for a in self.parts]
+            # floors of the others' ascents, which matter only off p = 1, inf
+            climbs = not _at_sums(ps)
+            ends = [None if climbs and a._climbs else a._bounds(ps, seed, floors)
+                    for a in self.parts]
             floors = [max([f, *(b[i].lower for b in ends if b is not None)])
                       for i, f in enumerate(floors)]
             ends = [a._bounds(ps, seed, floors) if b is None else b
@@ -1293,7 +1335,9 @@ def analyze(A) -> Analysis:
     (log-affine witness, or exact anchors from the spectrum), cyclic Hankel
     layouts (delegated to the circulant factor, which shares all p-norms),
     rank-one block tensors (vector-norm factor times the core), and the
-    anchor equality test that certifies the log-affine envelope.
+    anchor equality test that certifies the log-affine envelope, which
+    ``Analysis.rule`` runs on first read: a query at p = 1 and inf alone
+    needs no two-norm.
 
     The 1 x 1 case and the split need only one modulus or exact-zero tests,
     so they come first and each block scales itself: a block far below
@@ -1337,8 +1381,8 @@ def analyze(A) -> Analysis:
     if tensor is not None:
         return found("tensor", parts=(analyze(tensor.core),), tensor=tensor)
 
-    anchors = anchor_norms(unit)
-    return found("log-affine" if la_report_from_anchors(anchors).is_la else "general", anchors)
+    # the anchor test: "log-affine" or "general", decided on first read
+    return found(None)
 
 
 def certified_bound(A, p, seed: int = 0) -> NormBound:

@@ -221,7 +221,9 @@ def _as_cyclic(A, kind: type[_CyclicLayout]) -> _CyclicLayout | None:
 
     The last row is compared first, with the same differences and the same
     tolerance, so most matrices are rejected after one modulus pass and one
-    row; the whole layout is compared only when that row matches.
+    row; the whole layout is compared only when that row matches.  A
+    modulus past the double range, which leaves no finite tolerance, raises
+    ValueError.
     """
     M = as_matrix(A)
     n, m = M.shape
@@ -230,6 +232,8 @@ def _as_cyclic(A, kind: type[_CyclicLayout]) -> _CyclicLayout | None:
     coeffs = M[0, :]
     index = kind._index(n)
     top = _peak(np.abs(M))
+    if top == math.inf:
+        raise ValueError("an entry's modulus lies past the double range")
     tol = REL_TOL * top
     # below 2^1021 no difference overflows, and only there is the row read first
     if top < 2.0 ** 1021 and _peak(np.abs(M[-1] - coeffs[index[-1]])) > tol:

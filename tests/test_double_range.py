@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 
 from opnorm.estimator import analyze, certified_bound
 from opnorm.exact import norm_two
-from opnorm.structured import (Circulant, HankelMod, TensorRankOne, densify, direct_sum,
-                               doubly_balanced_norm, magic3, magic4, random_unitary_permutation)
+from opnorm.structured import (Circulant, HankelMod, TensorRankOne, as_circulant, as_hankel,
+                               as_tensor_rank_one, densify, direct_sum, doubly_balanced_norm,
+                               magic3, magic4, random_unitary_permutation)
 
 
 def _aligned(rng, n: int) -> np.ndarray:
@@ -126,6 +127,15 @@ _HUGE = 1.5e308 + 1.5e308j  # finite parts, modulus past the double range
 def test_an_entry_whose_modulus_overflows_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("recognize", [as_circulant, as_hankel, doubly_balanced_norm,
+                                       as_tensor_rank_one, analyze])
+def test_every_recognizer_raises_on_an_overflowing_modulus(recognize):
+    # no finite tolerance is relative to an infinite modulus
+    with pytest.raises(ValueError, match="an entry's modulus lies past the double range"):
+        recognize([[_HUGE, 1.0], [2.0, 3.0]])
 
 
 # ---------------------------------------------------------------------------

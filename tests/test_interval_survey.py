@@ -25,6 +25,10 @@ def test_survey_dumps_every_interval_and_diffs_ends_tags_and_steps(tmp_path):
                                                     + ["cli-multi-p"] * 7)
     assert {name: len(s) for name, s in old["steps"].items()} == prefixes
     assert all(old["steps"]["dense-anchor"])  # each query climbs
+    # one squaring two-norm per unstructured query, none on the first
+    # structured-mix queries, which are balanced at p = 1
+    assert old["norm_two"] == {"dense-anchor": [1, 1], "structured-mix": [0, 0, 0],
+                               "cli-multi-p": [1]}
     assert _survey("diff", old_path, old_path)[1:4] == [
         "upper ends moved: 0", "lower ends moved: 0 (0 dropped, 0 rose), the largest drops first",
         "tags changed: 0"]
@@ -38,3 +42,15 @@ def test_survey_dumps_every_interval_and_diffs_ends_tags_and_steps(tmp_path):
     assert report[3].endswith("dropped 0.25 of the width")
     assert report[4:6] == ["tags changed: 1",
                            f"  {name} query {i} {label} p={p}: {ltag}/{utag} -> anchor/{utag}"]
+
+
+def test_survey_diff_reports_two_norm_calls_and_reads_na_without_them(tmp_path):
+    old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+    _survey("dump", "--seed", 1, "--queries", "dense-anchor=2", "--out", new_path)
+    new = json.loads(new_path.read_text())
+    del new["norm_two"]
+    old_path.write_text(json.dumps(new))
+    report = _survey("diff", old_path, new_path)
+    assert report[-1] == "two-norm calls dense-anchor: n/a -> 2, median per query n/a -> 1"
+    assert _survey("diff", new_path, new_path)[-1] == (
+        "two-norm calls dense-anchor: 2 -> 2 (+0.0%), median per query 1 -> 1")

@@ -10,13 +10,16 @@
 (this checkout's ``src/`` by default), with BLAS pinned to one thread as in
 the benchmark, and writes each interval's ends as exact hex strings with
 their tags.  It also counts block steps: calls of ``_image_step`` with a
-direction buffer, one per step of ``estimator._block_ascent``.  Nothing
-else of the benchmark is read, and nothing is timed.
+direction buffer, one per step of ``estimator._block_ascent``; and calls of
+the squaring two-norm, ``exact.norm_two``, which ``anchor_norms`` looks up
+by that module name.  Nothing else of the benchmark is read, and nothing is
+timed.
 
 ``diff`` compares two dumps of the same seed and prefixes: how many upper
 ends moved, every lower end that moved as a share of the first dump's width
-(drops first), every tag change, and the block steps per workload, in total
-and as a median per query.
+(drops first), every tag change, and the block steps and two-norm calls per
+workload, in total and as a median per query ("n/a" for a dump without
+them).
 """
 
 from __future__ import annotations
@@ -56,30 +59,46 @@ def _load_opnorm(src: Path):
 
 def dump(seed: int, prefixes: dict, src: Path) -> dict:
     opnorm = _load_opnorm(src)
-    estimator, steps = opnorm.estimator, []  # block steps of each query
-    image_step = estimator._image_step
+    estimator, exact = opnorm.estimator, opnorm.exact
+    steps, twos = [], []  # block steps and two-norm calls of each query
+    image_step, norm_two = estimator._image_step, exact.norm_two
 
     def counted(Y, S, U, D, *rest):
         steps[-1] += D is not None
         return image_step(Y, S, U, D, *rest)
 
-    out = {"seed": seed, "prefixes": prefixes, "intervals": [], "steps": {}}
-    estimator._image_step = counted
+    def counted_two(A):
+        twos[-1] += 1
+        return norm_two(A)
+
+    out = {"seed": seed, "prefixes": prefixes, "intervals": [], "steps": {}, "norm_two": {}}
+    estimator._image_step, exact.norm_two = counted, counted_two
     try:
         with tempfile.TemporaryDirectory() as workdir:
             for name, count in prefixes.items():
                 steps.clear()
+                twos.clear()
                 for i in range(count):
                     steps.append(0)
+                    twos.append(0)
                     query = WORKLOADS[name].make(seed, i)
                     raw = execute(opnorm, query, prepare(query, workdir))
                     for p, lower, upper, ltag, utag in intervals(query, raw):
                         out["intervals"].append([name, i, query.label, p, lower.hex(),
                                                  upper.hex(), ltag, utag])
                 out["steps"][name] = list(steps)
+                out["norm_two"][name] = list(twos)
     finally:
-        estimator._image_step = image_step
+        estimator._image_step, exact.norm_two = image_step, norm_two
     return out
+
+
+def _counts(what: str, name: str, s0: list | None, s1: list | None) -> str:
+    """One workload's count in both dumps, in total and as a median per query."""
+    t0, t1 = ("n/a" if s is None else sum(s) for s in (s0, s1))
+    m0, m1 = ("n/a" if s is None else f"{statistics.median(s):g}" for s in (s0, s1))
+    change = f" ({(t1 - t0) / t0:+.1%})" if s0 and s1 and t0 else ""
+    return f"{what} {name}: {t0} -> {t1}{change}, median per query {m0} -> {m1}"
 
 
 def diff(old: dict, new: dict) -> list[str]:
@@ -108,11 +127,9 @@ def diff(old: dict, new: dict) -> list[str]:
     lines.append(f"tags changed: {len(tags)}")
     lines += ["  " + text for text in tags]
     for name in old["steps"]:
-        s0, s1 = old["steps"][name], new["steps"][name]
-        t0, t1 = sum(s0), sum(s1)
-        change = f" ({(t1 - t0) / t0:+.1%})" if t0 else ""
-        lines.append(f"block steps {name}: {t0} -> {t1}{change}, median per query "
-                     f"{statistics.median(s0):g} -> {statistics.median(s1):g}")
+        lines.append(_counts("block steps", name, old["steps"][name], new["steps"][name]))
+        lines.append(_counts("two-norm calls", name, old.get("norm_two", {}).get(name),
+                             new.get("norm_two", {}).get(name)))
     return lines
 
 
