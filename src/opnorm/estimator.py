@@ -57,11 +57,21 @@ copies nothing; the ascent recomputes its value on the caller's matrix.
 Only the Schur test keeps a scaling of its own, taken once per query for
 every maximizer it tests.
 
+p = 1 and inf are the endpoints that the rest interpolates between, and
+structure decides nothing there: every interval at those two exponents
+comes from the caller's matrix at its unit scale, as the doubly balanced
+test's common line sum where that test fires (tagged "ones-vector" and
+"anchor"), else as the largest column or row sum of |A|, each line summed
+in ascending order (tagged "anchor" and "anchor"), which keeps the ends'
+bits under any order of the rows and columns.  ``certified_bound`` at
+p = 1 or inf takes them without ``analyze``: no split, no circulant,
+Hankel or tensor test and no squaring.
+
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors)
 once per matrix; the log-affine anchor test, which needs the squaring
 two-norm, runs once too, but only when an exponent off p = 1, inf or the
-rule itself is first asked for.  At each exponent its rule
+rule itself is first asked for.  At each exponent off p = 1, inf its rule
 proposes lower candidates (attained value, tag) and upper candidates
 (certified value, tag): an exact rule one of each, a tensor its core's two
 ends scaled, a direct sum or Hankel layout every part's lower end and the
@@ -76,10 +86,11 @@ that the caller holds tops both of its ends, so it runs no ascent and
 proposes the ones vector's attained value in its place.  One combine step
 in ``Analysis.bounds`` then picks the largest lower and the smallest upper
 candidate, checks them against each other and tags the interval, with one
-ascent for all exponents.  ``certified_bound`` is one such query.  The
+ascent for all exponents; the line sums at p = 1 and inf pass through the
+same step.  ``certified_bound`` off p = 1, inf is one such query.  The
 engine calls ``ascent_lower_bound`` itself, once per matrix and query, and
-takes the values at p = 1, 2, inf from its own anchors; ``best_lower_bound``
-pairs the two for a caller outside the engine.
+takes the value at p = 2 from its own anchors; ``best_lower_bound`` pairs
+the two for a caller outside the engine.
 """
 
 from __future__ import annotations
@@ -103,7 +114,7 @@ from .core import (
     dual_exponent,
     vec_norm,
 )
-from .exact import AnchorNorms, anchor_norms, norm_inf, norm_one
+from .exact import AnchorNorms, anchor_norms
 from .interp import (
     NormBound,
     _is_self_adjoint,
@@ -1091,10 +1102,52 @@ _EXACT_TAGS = {"scalar": "anchor", "balanced": "ones-vector",
                "circulant-la": "eigen-certificate", "log-affine": "anchor"}
 
 
-def _at_sums(ps) -> bool:
-    """Whether every exponent is 1 or inf, where the column and row sums
-    are the norm, and neither the two-norm nor a floor is needed."""
-    return all(p.value in (1.0, math.inf) for p in ps)
+def _scaled(M: np.ndarray) -> tuple[np.ndarray, int, float | None]:
+    """M at its unit scale (``core._unit_scale``), that scale, and the doubly
+    balanced test's common line sum there, or None (also for a 1 x 1)."""
+    unit, k = _unit_scale(M)
+    return unit, k, doubly_balanced_norm(unit) if len(M) > 1 else None
+
+
+def _line_sums(p: Exponent, unit: np.ndarray, scale: int, balanced: float | None) -> NormBound:
+    """The interval at p = 1 or inf of the matrix that ``_scaled`` gives as
+    (unit, scale, balanced): the balanced common line sum where that test
+    fired ("ones-vector"), else the largest column (p = 1) or row (p = inf)
+    sum of |unit| ("anchor"), with an "anchor" upper end.  Each line is
+    summed in ascending order, so the value keeps its bits under any order
+    of the rows and columns."""
+    if balanced is not None:
+        v, tag = balanced, "ones-vector"
+    else:
+        axis = 1 if p.is_inf else 0
+        v, tag = float(np.sort(np.abs(unit), axis=axis).sum(axis=axis).max()), "anchor"
+    return _combined(p, [(v, tag)], [(v, "anchor")], scale)
+
+
+def _combined(p: Exponent, lowers, uppers, scale: int) -> NormBound:
+    """The one combine step: of candidates (value, tag) at ``scale``, the
+    largest lower and the smallest upper end, the earliest winning a tie,
+    checked against each other and scaled to the caller's units.
+
+    A lower end above the upper by more than 1e-9 relative raises
+    RuntimeError; a smaller excess is rounding of the attained value, and
+    the lower end is clipped to the upper.  The factor 2^-scale is a Python
+    float, always a double, whose products round once and give inf past the
+    double range without a warning, which NormBound rejects.  An end scaled
+    below the normal range rounds, so it is stepped outward where it
+    rounded inward."""
+    to_caller = 2.0 ** -scale
+    lo, lo_tag = max(lowers, key=lambda c: c[0])
+    up, up_tag = min(uppers, key=lambda c: c[0])
+    if lo > up * (1.0 + 1e-9):
+        raise RuntimeError(f"bound inconsistency at p={p}: lower {lo} exceeds upper {up}")
+    lo = min(lo, up)
+    lo_c, up_c = lo * to_caller, up * to_caller
+    # a product's quotient by to_caller is exact, so it shows which way the
+    # product rounded
+    lo_c = math.nextafter(lo_c, 0.0) if lo_c / to_caller > lo else lo_c
+    up_c = math.nextafter(up_c, math.inf) if up_c / to_caller < up else up_c
+    return NormBound(p, lo_c, up_c, lo_tag, up_tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1113,9 +1166,15 @@ class Analysis:
     and keeps its units, so its ``scale`` is 0.  ``matrix``, ``anchors`` and
     every interval are in the caller's units: ``bounds`` scales each floor
     in and each end out by that same power of two, exactly in the normal
-    range and rounded outward below it.  The rule only proposes
-    candidate ends at each exponent; ``bounds`` picks, checks and tags them
-    in one step, the same for every rule.  The lower candidates that need no
+    range and rounded outward below it.  Under every rule, p = 1 and inf
+    take the whole matrix's line sums at its unit scale: the balanced common
+    sum where that test fires, else the largest column or row sum of |A|,
+    each line summed in ascending order.  So a composite whose winning part
+    is balanced or "circulant-la", but whose whole matrix is not balanced,
+    reads "anchor" there, as does "circulant-la" itself.  At the other
+    exponents the rule only proposes candidate ends; ``bounds`` picks,
+    checks and tags them in one step, the same for every rule, which the
+    line sums pass through too.  The lower candidates that need no
     ascent, a circulant's eigen certificate (a Hankel layout's through its
     factor) and the lower ends of a direct sum's blocks that run no ascent,
     are the ascent's floor on signed and complex input: starts below it
@@ -1129,15 +1188,14 @@ class Analysis:
     vector's attained value, and the segment.  The other exponents off the
     anchors take one call of ``ascent_lower_bound`` (a lone one as a bare
     exponent, so that its result describes the call), with their upper ends
-    and floors on signed and complex input only; at p = 1, 2, inf the lower
-    end is ``own_anchors``' value.
+    and floors on signed and complex input only; at p = 2 the lower end is
+    ``own_anchors``' value.
 
     A matrix that no recognizer claims leaves ``rule`` ("log-affine" or
     "general") and ``own_anchors`` to be read on first use, from one
     ``anchor_norms`` call, the squaring two-norm; an error of it surfaces
-    there.  Both rules answer p = 1 and inf with the column and row sums
-    alone, so a query made only of those exponents, also of a tensor core
-    or direct-sum block, runs no squaring.
+    there.  The line sums need neither, so a query made only of p = 1 and
+    inf runs no squaring.
     """
 
     matrix: np.ndarray
@@ -1200,9 +1258,10 @@ class Analysis:
         a nonnegative integer, drives the ascent, which runs once for all of
         them.  Every exponent and the seed are validated first.
 
-        One combine step builds every interval: of the rule's candidates it
-        takes the largest lower and the smallest upper end, the earliest
-        candidate winning a tie, with its tag.  A lower end above the upper
+        One combine step builds every interval: of the rule's candidates (at
+        p = 1 and inf, the line sums') it takes the largest lower and the
+        smallest upper end, the earliest candidate winning a tie, with its
+        tag.  A lower end above the upper
         by more than 1e-9 relative raises RuntimeError; a smaller excess is
         rounding of the attained value, and the lower end is clipped to the
         upper.  An end past the double range raises ValueError.
@@ -1216,27 +1275,24 @@ class Analysis:
         ascent of this matrix need not climb to (0 for none).  A floor above
         this matrix's own norm makes its lower end weaker, never wrong.
 
-        The candidates are at ``scale``.  Its factor 2^-scale is a Python
-        float, always a double, whose products and quotients round once and
-        give inf past the double range without a warning: a floor there
-        settles its exponent, and NormBound rejects such an end.  An end
-        scaled below the normal range rounds, so it is stepped outward
-        where it rounded inward."""
-        out, to_caller = [], 2.0 ** -self.scale
-        floors = [f / to_caller for f in floors]
-        for p, (lowers, uppers) in zip(ps, self._candidates(ps, seed, floors)):
-            lo, lo_tag = max(lowers, key=lambda c: c[0])
-            up, up_tag = min(uppers, key=lambda c: c[0])
-            if lo > up * (1.0 + 1e-9):
-                raise RuntimeError(f"bound inconsistency at p={p}: lower {lo} exceeds upper {up}")
-            lo = min(lo, up)
-            lo_c, up_c = lo * to_caller, up * to_caller
-            # a product's quotient by to_caller is exact, so it shows which
-            # way the product rounded
-            lo_c = math.nextafter(lo_c, 0.0) if lo_c / to_caller > lo else lo_c
-            up_c = math.nextafter(up_c, math.inf) if up_c / to_caller < up else up_c
-            out.append(NormBound(p, lo_c, up_c, lo_tag, up_tag))
-        return tuple(out)
+        p = 1 and inf take ``_line_sums`` of the whole matrix (``_sums``);
+        the rule proposes at the other exponents, at ``scale``, where a
+        floor past the double range is inf and settles its exponent."""
+        ends, to_caller = (1.0, math.inf), 2.0 ** -self.scale
+        rest = self._candidates([p for p in ps if p.value not in ends], seed,
+                                [f / to_caller for p, f in zip(ps, floors) if p.value not in ends])
+        return tuple([_line_sums(p, *self._sums) if p.value in ends else
+                      _combined(p, *next(rest), self.scale) for p in ps])
+
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, int, float | None]:
+        """``_scaled`` of the whole matrix, which answers p = 1 and inf: the
+        unit copy, scale and balanced verdict that ``analyze`` took, where
+        it scaled this matrix (every rule but "scalar", "direct-sum" and
+        "hankel"), else taken here."""
+        if self.unit is None:
+            return _scaled(self.matrix)
+        return self.unit, self.scale, self._anchors.n1 if self._rule == "balanced" else None
 
     def _candidates(self, ps, seed, floors):
         """Per exponent of ``ps``, the rule's lower candidates (attained
@@ -1244,18 +1300,12 @@ class Analysis:
         of lists.  Lower ends that need no ascent are floors of the ascent,
         with those of ``floors``: below the largest, starts trail and stop on
         the gap test (``ascent_lower_bound``)."""
-        if self._rule is None and _at_sums(ps):
-            # both anchor-test rules propose the column or row sum alone
-            for p in ps:
-                v = norm_inf(self.unit) if p.is_inf else norm_one(self.unit)
-                yield [(v, "anchor")], [(v, "anchor")]
-            return
         rule, anchors = self.rule, self.own_anchors
         if rule in _EXACT_TAGS:
             for p in ps:
                 v = (anchors.n2 if p.value == 2.0 else
                      la_envelope(anchors, p) if rule == "log-affine" else anchors.n1)
-                at_anchor = rule == "scalar" or p.value in (1.0, 2.0) or p.is_inf
+                at_anchor = rule == "scalar" or p.value == 2.0
                 yield [(v, _EXACT_TAGS[rule])], [(v, "anchor" if at_anchor else "riesz-thorin")]
         elif rule == "tensor":
             # the vector-norm factor ||alpha||_p ||beta||_q scales both ends
@@ -1267,9 +1317,8 @@ class Analysis:
             # norm is the largest part norm, so every part's lower end is a
             # lower end, and the largest part upper end is the upper end.  The
             # parts that run no ascent go first, and their lower ends are
-            # floors of the others' ascents, which matter only off p = 1, inf
-            climbs = not _at_sums(ps)
-            ends = [None if climbs and a._climbs else a._bounds(ps, seed, floors)
+            # floors of the others' ascents
+            ends = [None if a._climbs else a._bounds(ps, seed, floors)
                     for a in self.parts]
             floors = [max([f, *(b[i].lower for b in ends if b is not None)])
                       for i, f in enumerate(floors)]
@@ -1290,8 +1339,7 @@ class Analysis:
             # best or the floor stops once its gain is small against the gap
             # to its upper end; a nonnegative one climbs to the fixed point,
             # where the Schur test below is tight, and has no use for a floor
-            pinned = {1.0: anchors.n1, 2.0: anchors.n2, math.inf: anchors.ninf}
-            off = [p.value not in pinned for p in ps]
+            off = [p.value != 2.0 for p in ps]
             climb = [o and not f > u.value for o, f, u in zip(off, floors, ups)]
             es = list(compress(ps, climb))
             gaps = {} if self.nonnegative else {
@@ -1307,7 +1355,7 @@ class Analysis:
                           if es and self.nonnegative else [None] * len(es))
             for p, o, c, up in zip(ps, off, climb, ups):
                 if not o:
-                    lo, tag, schur = pinned[p.value], "anchor", None
+                    lo, tag, schur = anchors.n2, "anchor", None
                 elif c:
                     ascent, schur = next(ascents)
                     lo, tag = ascent.value, "boyd"
@@ -1337,7 +1385,10 @@ def analyze(A) -> Analysis:
     rank-one block tensors (vector-norm factor times the core), and the
     anchor equality test that certifies the log-affine envelope, which
     ``Analysis.rule`` runs on first read: a query at p = 1 and inf alone
-    needs no two-norm.
+    needs no two-norm.  Those two exponents read the whole matrix's line
+    sums under every rule (``Analysis``), from the unit copy and balanced
+    verdict taken here, yet the recognizers run all the same: only
+    ``certified_bound`` skips them there.
 
     The 1 x 1 case and the split need only one modulus or exact-zero tests,
     so they come first and each block scales itself: a block far below
@@ -1358,9 +1409,8 @@ def analyze(A) -> Analysis:
     if len(blocks) > 1:
         return Analysis(M, "direct-sum", parts=tuple(analyze(B) for B in blocks))
 
-    unit, k = _unit_scale(M)
+    unit, k, balanced = _scaled(M)
     found = partial(Analysis, M, unit=unit, scale=k)
-    balanced = doubly_balanced_norm(unit)
     if balanced is not None:
         return found("balanced", AnchorNorms(balanced, balanced, balanced))
 
@@ -1388,10 +1438,20 @@ def analyze(A) -> Analysis:
 def certified_bound(A, p, seed: int = 0) -> NormBound:
     """Certified interval for the operator p-norm of a square complex matrix.
 
-    Structure is used whenever it pins the value exactly (see ``analyze``).
+    At p = 1 and inf the interval is the line sums of the caller's matrix
+    at its unit scale: the doubly balanced test's common sum where it fires,
+    else the largest column or row sum of |A|, each line summed in ascending
+    order; no other recognizer runs, and no two-norm.  At any other exponent
+    structure is used whenever it pins the value exactly (see ``analyze``).
     Otherwise the interval combines the interpolation upper bound with the
     best lower bound (exact anchors, circulant eigen certificates, iterative
-    ascent).  To query several exponents, analyze once and call
-    ``Analysis.bounds`` with all of them, which runs one ascent for all.
+    ascent).  Either way the bits and tags are those of
+    ``analyze(A).bound(p, seed)``.  To query several exponents, analyze once
+    and call ``Analysis.bounds`` with all of them, which runs one ascent for
+    all.
     """
-    return analyze(A).bound(p, seed=seed)
+    p = as_exponent(p)
+    if p.value not in (1.0, math.inf):
+        return analyze(A).bound(p, seed=seed)
+    _check_seed(seed)
+    return _line_sums(p, *_scaled(as_square(A)))

@@ -353,18 +353,29 @@ def doubly_balanced_norm(A) -> float | None:
     (tiny negatives are clamped to 0) and all row and column sums must agree
     to 1e-9 relative; the common sum is then the operator norm at every
     exponent.  The first two tests run on row 0 before the whole matrix,
-    with the same tolerance, so most matrices are rejected after one modulus
-    pass and one row.  The sums are taken on the clamped matrix brought to
-    modulus [1, 2) by a power of two, so they do not overflow, and the common
-    sum is scaled back exactly; it is inf only where it lies past the double
-    range.
+    with the same tolerance, and between the two passes row 0's sum is
+    compared with column 0's, so most matrices are rejected after one
+    modulus pass and two lines.  The sums are taken on the clamped matrix
+    brought to modulus [1, 2) by a power of two, so they do not overflow,
+    and the common sum is scaled back exactly; it is inf only where it lies
+    past the double range.
     """
     M = as_square(A)
     top = _peak(np.abs(M))
     tol = 1e-12 * top
-    for part in (M[0], M):  # row 0 first: most matrices fail there
-        if _peak(np.abs(part.imag)) > tol or float(part.real.min()) < -tol:
-            return None
+    if _peak(np.abs(M[0].imag)) > tol or float(M[0].real.min()) < -tol:
+        return None  # row 0 first: most matrices fail there
+    # where the full test passes, row 0 and column 0 sum to within 1e-9 alpha
+    # of the mean row sum alpha, so to within 2e-9 alpha <= 2e-9 / (1 - 1e-9)
+    # of the larger of them of each other; the slack 4e-9 also covers the
+    # rounding of these sums of n <= 10^6 quotients by top, which keep them
+    # in range, and of the full test's sums
+    lines = np.maximum(np.array((M[0].real, M[:, 0].real)), 0.0) / (top or 1.0)
+    r0, c0 = lines.sum(axis=1).tolist()
+    if abs(r0 - c0) > 4e-9 * max(r0, c0):
+        return None
+    if _peak(np.abs(M.imag)) > tol or float(M.real.min()) < -tol:
+        return None
     # the clamped matrix's largest entry is top, to the rounding of a modulus
     R, k = _unit_scale(np.maximum(M.real, 0.0), top)
     rows = R.sum(axis=1)

@@ -381,11 +381,23 @@ _ALIGNED5 = 1.5 * np.exp(-2j * np.pi * 2 * np.arange(5) / 5)  # log-affine at th
 @example(_M4)
 @example(_moved(_M4, 0, 1, 5e-12j * 16))
 @example(_moved(_M4, 2, 1, 5e-12j * 16))
+# row 0's sum moved off column 0's by 1.2e-9 and 1.99e-9 of the line sum:
+# the full test accepts both, so the sum screen must pass them
+@example(_moved(_M4, 0, 1, 1.2e-9 * 34))
+@example(_moved([[1.0, 2.0], [2.0, 1.0]], 0, 1, 1.99e-9 * 3))
 def test_balanced_screen_keeps_the_full_test(A):
     got, want = doubly_balanced_norm(A), balanced_reference(A)
     assert (got is None) == (want is None)
     if got is not None:
         assert _bits(got) == _bits(want)
+
+
+def test_balanced_screen_keeps_the_full_test_on_nonnegative_draws():
+    # real nonnegative matrices that are not balanced pass the sign test
+    # and are rejected by the sums, now from row 0 and column 0
+    for n in range(2, 65):
+        A = np.abs(np.random.default_rng(n).standard_normal((n, n)))
+        assert doubly_balanced_norm(A) is None and balanced_reference(A) is None, n
 
 
 @_settings
