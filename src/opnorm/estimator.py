@@ -58,14 +58,12 @@ Only the Schur test keeps a scaling of its own, taken once per query for
 every maximizer it tests.
 
 p = 1 and inf are the endpoints that the rest interpolates between, and
-structure decides nothing there: every interval at those two exponents
-comes from the caller's matrix at its unit scale, as the doubly balanced
-test's common line sum where that test fires (tagged "ones-vector" and
-"anchor"), else as the largest column or row sum of |A|, each line summed
-in ascending order (tagged "anchor" and "anchor"), which keeps the ends'
-bits under any order of the rows and columns.  ``certified_bound`` at
-p = 1 or inf takes them without ``analyze``: no split, no circulant,
-Hankel or tensor test and no squaring.
+structure decides nothing there: every interval at those two exponents,
+under every rule, is the largest column or row sum of |A| of the caller's
+matrix at its unit scale, each line summed in ascending order (tagged
+"anchor" and "anchor"), which keeps the ends' bits under any order of the
+rows and columns.  ``certified_bound`` at p = 1 or inf takes them without
+``analyze``: no recognizer and no squaring.
 
 ``analyze`` runs the structural recognizers (block-diagonal splits, doubly
 balanced matrices, circulants, cyclic Hankel forms, rank-one block tensors)
@@ -1102,26 +1100,15 @@ _EXACT_TAGS = {"scalar": "anchor", "balanced": "ones-vector",
                "circulant-la": "eigen-certificate", "log-affine": "anchor"}
 
 
-def _scaled(M: np.ndarray) -> tuple[np.ndarray, int, float | None]:
-    """M at its unit scale (``core._unit_scale``), that scale, and the doubly
-    balanced test's common line sum there, or None (also for a 1 x 1)."""
-    unit, k = _unit_scale(M)
-    return unit, k, doubly_balanced_norm(unit) if len(M) > 1 else None
-
-
-def _line_sums(p: Exponent, unit: np.ndarray, scale: int, balanced: float | None) -> NormBound:
-    """The interval at p = 1 or inf of the matrix that ``_scaled`` gives as
-    (unit, scale, balanced): the balanced common line sum where that test
-    fired ("ones-vector"), else the largest column (p = 1) or row (p = inf)
-    sum of |unit| ("anchor"), with an "anchor" upper end.  Each line is
-    summed in ascending order, so the value keeps its bits under any order
-    of the rows and columns."""
-    if balanced is not None:
-        v, tag = balanced, "ones-vector"
-    else:
-        axis = 1 if p.is_inf else 0
-        v, tag = float(np.sort(np.abs(unit), axis=axis).sum(axis=axis).max()), "anchor"
-    return _combined(p, [(v, tag)], [(v, "anchor")], scale)
+def _line_sums(p: Exponent, unit: np.ndarray, scale: int) -> NormBound:
+    """The interval at p = 1 or inf of a matrix at its unit scale ``unit``,
+    taken there by ``core._unit_scale`` with that ``scale``: the largest
+    column (p = 1) or row (p = inf) sum of |unit|, tagged "anchor" at both
+    ends.  Each line is summed in ascending order, so the value keeps its
+    bits under any order of the rows and columns."""
+    axis = 1 if p.is_inf else 0
+    v = float(np.sort(np.abs(unit), axis=axis).sum(axis=axis).max())
+    return _combined(p, [(v, "anchor")], [(v, "anchor")], scale)
 
 
 def _combined(p: Exponent, lowers, uppers, scale: int) -> NormBound:
@@ -1167,14 +1154,12 @@ class Analysis:
     every interval are in the caller's units: ``bounds`` scales each floor
     in and each end out by that same power of two, exactly in the normal
     range and rounded outward below it.  Under every rule, p = 1 and inf
-    take the whole matrix's line sums at its unit scale: the balanced common
-    sum where that test fires, else the largest column or row sum of |A|,
-    each line summed in ascending order.  So a composite whose winning part
-    is balanced or "circulant-la", but whose whole matrix is not balanced,
-    reads "anchor" there, as does "circulant-la" itself.  At the other
-    exponents the rule only proposes candidate ends; ``bounds`` picks,
-    checks and tags them in one step, the same for every rule, which the
-    line sums pass through too.  The lower candidates that need no
+    take the whole matrix's line sums at its unit scale: the largest column
+    or row sum of |A|, each line summed in ascending order, tagged "anchor"
+    at both ends, for a "balanced" matrix too.  At the other exponents the
+    rule only proposes candidate ends; ``bounds`` picks, checks and tags
+    them in one step, the same for every rule, which the line sums pass
+    through too.  The lower candidates that need no
     ascent, a circulant's eigen certificate (a Hankel layout's through its
     factor) and the lower ends of a direct sum's blocks that run no ascent,
     are the ascent's floor on signed and complex input: starts below it
@@ -1285,14 +1270,12 @@ class Analysis:
                       _combined(p, *next(rest), self.scale) for p in ps])
 
     @cached_property
-    def _sums(self) -> tuple[np.ndarray, int, float | None]:
-        """``_scaled`` of the whole matrix, which answers p = 1 and inf: the
-        unit copy, scale and balanced verdict that ``analyze`` took, where
-        it scaled this matrix (every rule but "scalar", "direct-sum" and
-        "hankel"), else taken here."""
-        if self.unit is None:
-            return _scaled(self.matrix)
-        return self.unit, self.scale, self._anchors.n1 if self._rule == "balanced" else None
+    def _sums(self) -> tuple[np.ndarray, int]:
+        """The whole matrix at its unit scale, and that scale, which answer
+        p = 1 and inf: the copy that ``analyze`` took, where it scaled this
+        matrix (every rule but "scalar", "direct-sum" and "hankel"), else
+        taken here."""
+        return _unit_scale(self.matrix) if self.unit is None else (self.unit, self.scale)
 
     def _candidates(self, ps, seed, floors):
         """Per exponent of ``ps``, the rule's lower candidates (attained
@@ -1379,16 +1362,16 @@ def analyze(A) -> Analysis:
     """Run the structure recognizers once and record the first that fires.
 
     Tried in order: block-diagonal splits (max over the parts), doubly
-    balanced matrices (the shared line sum at every p), circulants
+    balanced matrices (the mean line sum off p = 1 and inf), circulants
     (log-affine witness, or exact anchors from the spectrum), cyclic Hankel
     layouts (delegated to the circulant factor, which shares all p-norms),
     rank-one block tensors (vector-norm factor times the core), and the
     anchor equality test that certifies the log-affine envelope, which
     ``Analysis.rule`` runs on first read: a query at p = 1 and inf alone
     needs no two-norm.  Those two exponents read the whole matrix's line
-    sums under every rule (``Analysis``), from the unit copy and balanced
-    verdict taken here, yet the recognizers run all the same: only
-    ``certified_bound`` skips them there.
+    sums under every rule (``Analysis``), from the unit copy taken here,
+    yet the recognizers run all the same: only ``certified_bound`` skips
+    them there.
 
     The 1 x 1 case and the split need only one modulus or exact-zero tests,
     so they come first and each block scales itself: a block far below
@@ -1409,8 +1392,9 @@ def analyze(A) -> Analysis:
     if len(blocks) > 1:
         return Analysis(M, "direct-sum", parts=tuple(analyze(B) for B in blocks))
 
-    unit, k, balanced = _scaled(M)
+    unit, k = _unit_scale(M)
     found = partial(Analysis, M, unit=unit, scale=k)
+    balanced = doubly_balanced_norm(unit)
     if balanced is not None:
         return found("balanced", AnchorNorms(balanced, balanced, balanced))
 
@@ -1438,11 +1422,11 @@ def analyze(A) -> Analysis:
 def certified_bound(A, p, seed: int = 0) -> NormBound:
     """Certified interval for the operator p-norm of a square complex matrix.
 
-    At p = 1 and inf the interval is the line sums of the caller's matrix
-    at its unit scale: the doubly balanced test's common sum where it fires,
-    else the largest column or row sum of |A|, each line summed in ascending
-    order; no other recognizer runs, and no two-norm.  At any other exponent
-    structure is used whenever it pins the value exactly (see ``analyze``).
+    At p = 1 and inf the interval is the largest column or row sum of |A|
+    of the caller's matrix at its unit scale, each line summed in ascending
+    order and tagged "anchor" at both ends; no recognizer runs, and no
+    two-norm.  At any other exponent structure is used whenever it pins
+    the value exactly (see ``analyze``).
     Otherwise the interval combines the interpolation upper bound with the
     best lower bound (exact anchors, circulant eigen certificates, iterative
     ascent).  Either way the bits and tags are those of
@@ -1454,4 +1438,4 @@ def certified_bound(A, p, seed: int = 0) -> NormBound:
     if p.value not in (1.0, math.inf):
         return analyze(A).bound(p, seed=seed)
     _check_seed(seed)
-    return _line_sums(p, *_scaled(as_square(A)))
+    return _line_sums(p, *_unit_scale(as_square(A)))

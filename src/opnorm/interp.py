@@ -60,9 +60,10 @@ _LA_RATIO_TOL = 1e-9
 class NormBound:
     """Certified interval lower <= f(p) <= upper with provenance tags.
 
-    Lower tags: "ones-vector" (balanced row/column sums), "eigen-certificate"
-    (eigenvector through a phased permutation), "boyd" (iterative ascent),
-    "anchor" (exact value at p in {1, 2, inf}, also
+    Lower tags: "ones-vector" (the ones vector's value: a balanced matrix's
+    mean line sum off p = 1 and inf), "eigen-certificate" (eigenvector
+    through a phased permutation), "boyd" (iterative ascent), "anchor"
+    (exact value at p in {1, 2, inf}, the line sums at p = 1 and inf, also
     used when an anchor equality certifies the whole envelope).  Upper tags:
     "anchor", "riesz-thorin" (the log-affine envelope of an exact rule, or
     the two-segment interpolation), "schur" (Schur test at the ascent's
@@ -194,10 +195,12 @@ def is_log_affine(A) -> LogAffineReport:
 
 @lru_cache(maxsize=1)  # its Exponents are frozen, and the tuple too
 def default_grid() -> tuple[Exponent, ...]:
-    """Sorted default exponent grid, closed under duality and anchored.
+    """Sorted default exponent grid, anchored at 1, 2 and inf.
 
     {1, 1.25, 1.5, 2, 3, 4, 8, inf} plus the duals of the finite points:
-    1, 8/7, 1.25, 4/3, 1.5, 2, 3, 4, 5, 8, inf.
+    1, 8/7, 1.25, 4/3, 1.5, 2, 3, 4, 5, 8, inf.  The duals are rounded, so
+    the grid is not closed under ``dual_exponent`` in floats: the dual of
+    8/7 is 8.000000000000004 and that of 4/3 is 4.000000000000001.
     """
     base = [Exponent(v) for v in (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)]
     pts = set(base) | {dual_exponent(e) for e in base} | {INF}

@@ -357,8 +357,9 @@ def doubly_balanced_norm(A) -> float | None:
     compared with column 0's, so most matrices are rejected after one
     modulus pass and two lines.  The sums are taken on the clamped matrix
     brought to modulus [1, 2) by a power of two, so they do not overflow,
-    and the common sum is scaled back exactly; it is inf only where it lies
-    past the double range.
+    and the common sum, the correctly rounded total of the row sums over n,
+    which has the same bits under any order of the rows, is scaled back
+    exactly; it is inf only where it lies past the double range.
     """
     M = as_square(A)
     top = _peak(np.abs(M))
@@ -380,7 +381,8 @@ def doubly_balanced_norm(A) -> float | None:
     R, k = _unit_scale(np.maximum(M.real, 0.0), top)
     rows = R.sum(axis=1)
     cols = R.sum(axis=0)
-    alpha = float(rows.sum()) / len(rows)  # the bits of rows.mean(), in fewer calls
+    # a correctly rounded total: the same bits under any order of the rows
+    alpha = math.fsum(rows.tolist()) / len(rows)
     if alpha == 0.0:
         return 0.0  # all entries clamped to zero
     dev = max(float(np.abs(rows - alpha).max()), float(np.abs(cols - alpha).max()))

@@ -1,11 +1,11 @@
 """p = 1 and inf come from the caller's line sums, by one path.
 
-At those exponents every interval is the doubly balanced test's common line
-sum where that test fires, else the largest column or row sum of |A| at its
-unit scale, each line summed in ascending order.  So the ends are exact
-invariants of row and column order, ``certified_bound`` answers them without
-``analyze`` (no recognizer, no squaring), and ``Analysis.bounds`` and
-``profile`` give the same bits and tags under every rule.
+At those exponents every interval, under every rule, is the largest column
+or row sum of |A| at its unit scale, each line summed in ascending order and
+tagged "anchor" at both ends.  So the ends are exact invariants of row and
+column order, ``certified_bound`` answers them without ``analyze`` (no
+recognizer, no squaring), and ``Analysis.bounds`` and ``profile`` give the
+same bits and tags under every rule, nearly balanced input included.
 """
 
 import math
@@ -70,8 +70,8 @@ def test_sum_ends_are_invariant_under_row_and_column_order(drawn):
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_cyclic_hankel_sum_ends_match_the_circulant_factor(n):
-    # complex and signed coefficients: a nonnegative layout is balanced, and
-    # the balanced test's mean line sum is taken in index order
+    # complex and signed coefficients; nonnegative layouts, which are
+    # balanced, are checked at every exponent in test_structured.py
     rng = np.random.default_rng(n)
     signed = np.abs(rng.standard_normal(n)) * (-1.0) ** np.arange(n)
     for coeffs in (random_complex(rng, n), signed):
@@ -91,6 +91,9 @@ _ALIGNED = np.array([1.0, 2.0, 0.5, 3.0, 1.5]) * np.exp(-2j * np.pi * 2 * np.ara
 _FAMILIES = {
     # name: (matrix, the rule analyze finds)
     "balanced": (magic4(), "balanced"),
+    # balanced within the test's 1e-9, but with line sums of their own
+    "near-magic3": (magic3() + np.diag([5e-9, 0.0, 0.0]), "balanced"),
+    "near-ones4": (np.ones((4, 4)) + np.diag([4e-12, 0.0, 0.0, 0.0]), "balanced"),
     "permutation-sum": (np.eye(5)[[2, 0, 4, 1, 3]] + 2.0 * np.eye(5)[[1, 3, 0, 4, 2]], "balanced"),
     "aligned-circulant": (densify(Circulant(_ALIGNED)), "circulant-la"),
     "circulant": (densify(Circulant(random_complex(_RNG, 6))), "circulant"),
@@ -118,19 +121,40 @@ def test_every_path_gives_the_sum_ends_the_same_bits_and_tags(family):
         assert _key(grid[p]) == want
 
 
+def _sorted_line_sum(A, p):
+    """The largest column (p = 1) or row (p = inf) sum of |A| at its unit
+    scale, each line summed in ascending order, scaled back."""
+    k = 1 - math.frexp(float(np.abs(A).max()))[1]
+    axis = 1 if p == math.inf else 0
+    return float(np.sort(np.abs(A * 2.0 ** k), axis=axis).sum(axis=axis).max()) * 2.0 ** -k
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_sum_ends_are_the_sorted_line_sums(family):
+    A = _FAMILIES[family][0]
+    for p in _ENDS:
+        want = _sorted_line_sum(A, p)
+        for b in (certified_bound(A, p), analyze(A).bound(p)):
+            assert (b.lower, b.upper) == (want, want), p
+
+
 def test_sum_end_tags():
-    # the balanced test's common line sum keeps its "ones-vector" tag; a
-    # composite whose balanced part wins, but whose whole matrix is not
-    # balanced, reads "anchor", and so does an aligned circulant
-    tags = {name: certified_bound(_FAMILIES[name][0], 1).lower_provenance
-            for name in ("balanced", "permutation-sum", "aligned-circulant",
-                         "direct-sum-balanced-block")}
+    # at p = 1 and inf every end reads "anchor", a balanced matrix's too;
+    # off them a balanced matrix, or a composite whose balanced part wins,
+    # keeps its "ones-vector" lower end
+    names = ("balanced", "permutation-sum", "aligned-circulant", "direct-sum-balanced-block")
+    for p in _ENDS:
+        for name in names:
+            b = certified_bound(_FAMILIES[name][0], p)
+            assert (b.lower_provenance, b.upper_provenance) == ("anchor", "anchor"), (name, p)
+    tags = {name: certified_bound(_FAMILIES[name][0], 1.5).lower_provenance for name in names}
     assert tags == {"balanced": "ones-vector", "permutation-sum": "ones-vector",
-                    "aligned-circulant": "anchor", "direct-sum-balanced-block": "anchor"}
+                    "aligned-circulant": "eigen-certificate",
+                    "direct-sum-balanced-block": "ones-vector"}
 
 
-_SEARCH = ("split_direct_sum", "as_circulant", "as_hankel", "as_tensor_rank_one",
-           "classify_circulant_la")
+_SEARCH = ("split_direct_sum", "doubly_balanced_norm", "as_circulant", "as_hankel",
+           "as_tensor_rank_one", "classify_circulant_la")
 
 
 @pytest.fixture

@@ -33,7 +33,8 @@ def test_bounds_magic3(magic_path):
     for d in lines:
         assert d["lower"] == pytest.approx(15.0, rel=1e-12)
         assert d["upper"] == pytest.approx(15.0, rel=1e-12)
-        assert d["lower_provenance"] == "ones-vector"
+        # p = 1 and inf are the line sums under every rule
+        assert d["lower_provenance"] == ("anchor" if d["p"] in (1.0, "inf") else "ones-vector")
 
 
 def test_bounds_rejects_bad_exponent(magic_path):
@@ -112,6 +113,17 @@ def test_classify_reads_the_analysis(magic_path, monkeypatch, capsys):
     assert doc["anchors"] == {"one": 15.0, "two": 15.0, "inf": 15.0}
     assert doc["doubly_balanced"] and doc["alpha"] == 15.0
     assert doc["log_affine"] and doc["la_ratio"] == 1.0
+
+
+def test_classify_near_magic3_reads_the_line_sums(tmp_path, capsys):
+    # balanced within the test's 1e-9, but ||A||_1 is the largest column sum
+    A = magic3() + np.diag([5e-9, 0.0, 0.0])
+    path = tmp_path / "near.json"
+    write_matrix(path, A)
+    assert main(["classify", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rule"] == "balanced"
+    assert doc["anchors"]["one"] == doc["anchors"]["inf"] == 15.000000005
 
 
 def _strict_json(line: str):

@@ -784,7 +784,7 @@ def test_certified_bound_exact_cases():
         m = certified_bound(magic3(), p)
         assert m.lower == pytest.approx(15.0, rel=1e-12)
         assert m.upper == pytest.approx(15.0, rel=1e-12)
-        assert m.lower_provenance == "ones-vector"
+        assert m.lower_provenance == ("anchor" if p in (1, INF) else "ones-vector")
     b = certified_bound([[3 + 4j]], 2.2)
     assert (b.lower, b.upper) == (5.0, 5.0)
 

@@ -89,6 +89,9 @@ _exponent_tuples = st.lists(
 #: Nearly log-affine: n1 = ninf = 1 + 1e-10 pass the anchor test, and the
 #: envelope sqrt(n1 ninf) lies 1e-10 above ||A||_2 = 1 + 5e-21.
 _NEAR_LA = [[1.0, 1e-10, 0.0], [0.0, 0.0, 1e-10], [1e-10, 0.0, 0.0]]
+#: Nearly balanced: magic3 with +5e-9 at [0, 0] passes the balanced test at
+#: 1e-9, while ||A||_1 = ||A||_inf = 15.000000005 lie above its mean line sum.
+_NEAR_MAGIC3 = [[8.000000005, 1.0, 6.0], [3.0, 5.0, 7.0], [4.0, 9.0, 2.0]]
 
 
 @st.composite
@@ -170,6 +173,8 @@ def test_scaling_scales_the_bounds(A, p, s):
 @_settings
 @given(_matrices(), st.sampled_from([1.0, 2.0, math.inf]))
 @example(_NEAR_LA, 2.0)
+@example(_NEAR_MAGIC3, 1.0)
+@example(_NEAR_MAGIC3, math.inf)
 def test_anchor_intervals_contain_the_numpy_norm(A, p):
     A = np.asarray(A)
     b = certified_bound(A, p)

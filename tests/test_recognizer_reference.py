@@ -133,7 +133,7 @@ def balanced_reference(A):
     R, k = _unit_scale(np.maximum(M.real, 0.0), top)
     rows = R.sum(axis=1)
     cols = R.sum(axis=0)
-    alpha = float(rows.sum()) / len(rows)
+    alpha = math.fsum(rows.tolist()) / len(rows)
     if alpha == 0.0:
         return 0.0
     dev = max(float(np.abs(rows - alpha).max()), float(np.abs(cols - alpha).max()))

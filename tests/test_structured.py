@@ -113,6 +113,22 @@ def test_doubly_balanced():
         doubly_balanced_norm(np.ones((2, 3)))
 
 
+def test_balanced_hankel_layout_certifies_as_its_circulant_factor():
+    # a nonnegative cyclic Hankel layout holds its circulant factor's rows in
+    # another order, and both are balanced: the mean row sum must not depend
+    # on that order
+    def key(b):
+        return b.lower.hex(), b.upper.hex(), b.lower_provenance, b.upper_provenance
+
+    for s in range(300):
+        rng = np.random.default_rng(s)
+        h = HankelMod(np.abs(rng.standard_normal(3 + s % 14)))
+        H, C = densify(h), densify(hankel_factor(h)[1])
+        assert analyze(H).rule == analyze(C).rule == "balanced"
+        for p in (1, 1.5, 2, 3, INF):
+            assert key(certified_bound(H, p)) == key(certified_bound(C, p)), (s, p)
+
+
 def test_magic_square_line_sums():
     for M, s in ((magic3(), 15.0), (magic4(), 34.0)):
         assert np.allclose(M.real.sum(axis=0), s) and np.allclose(M.real.sum(axis=1), s)
