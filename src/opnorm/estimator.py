@@ -1206,8 +1206,14 @@ class Analysis:
 
     @property
     def own_anchors(self) -> AnchorNorms | None:
-        """Exact norms at p = 1, 2, inf of ``unit`` that an exact or anchor
-        rule reads; None for a rule that delegates to ``parts``."""
+        """The values at p = 1, 2, inf of ``unit`` that an exact or anchor
+        rule proposes its ends from; None for a rule that delegates to
+        ``parts``.  Under "log-affine" and "general" they are the exact
+        norms.  Under "balanced", "circulant-la" and "circulant", n1 and
+        ninf hold the rule's value (the balanced test's mean line sum, the
+        coefficient total), which on a nearly structured matrix is not
+        ||unit||_1 or ||unit||_inf; p = 1 and inf never read them, and take
+        ``_line_sums`` under every rule."""
         return self._anchors if self._rule else self._anchor_test[1]
 
     @cached_property
